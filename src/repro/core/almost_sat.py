@@ -18,7 +18,9 @@ Four refined-enumeration variants (Fig 12) are selected by flags:
 
 All four variants return the same set of local solutions (the prunes only
 skip candidates that provably fail), which the tests assert against the
-brute-force reference `enum_almost_sat_brute`.
+brute-force reference `enum_almost_sat_brute`. They run on int bitmasks
+(`enum_local`, the kernel the traversal engine calls); `enum_almost_sat`
+is its frozenset front end.
 
 `enum_almost_sat_inflation` is the baseline implementation used by
 bTraversal and by Fig 12's "Inflation" bar: inflate the almost-satisfying
@@ -30,83 +32,130 @@ from itertools import combinations
 from typing import Iterator
 
 from ..baselines.kplex import enum_maximal_kplexes, inflate
-from ..bipartite.graph import BipartiteGraph, Solution
+from ..bipartite.graph import (
+    BipartiteGraph,
+    MaskPair,
+    Solution,
+    ids_of,
+    mask_of,
+    masks_to_solution,
+)
 from ..bipartite.predicates import can_add_left, can_add_right, is_kbiplex
+
+
+def _addable(ax: int, grow: int, fixed: int, adj_fixed: list[int],
+             k: int) -> bool:
+    """Can a vertex with neighbour mask ``ax`` join side ``grow`` of the
+    k-biplex (grow, fixed)? The mask form of `can_add_left` /
+    `can_add_right`: its own misses against ``fixed``, and the misses of
+    the fixed vertices it disconnects (each gains one)."""
+    if fixed.bit_count() - (ax & fixed).bit_count() > k:
+        return False
+    n_grow = grow.bit_count()
+    return all(n_grow - (adj_fixed[y] & grow).bit_count() < k
+               for y in ids_of(fixed & ~ax))
 
 
 def _enum_left(
     g: BipartiteGraph,
-    left: frozenset[int],
-    right: frozenset[int],
+    left: int,
+    right: int,
     v: int,
     k: int,
     *,
     l2: bool,
     r2: bool,
     r_min: int = 0,
-) -> Iterator[Solution]:
+) -> Iterator[MaskPair]:
     """Local solutions of the almost-satisfying graph (L ∪ {v}, R), v ∈ 𝓛.
 
-    Precondition: (left, right) is a k-biplex of ``g``.
+    Sides are masks. Precondition: (left, right) is a k-biplex of ``g``.
     ``r_min`` prunes enumerations whose right side would end below the
     threshold (large-MBP "local solution pruning", §5).
     """
-    adjv = g.adj_l[v]
+    bits_l, bits_r = g.bits_l, g.bits_r
+    adjv = bits_l[v]
     r_keep = right & adjv          # Lemma 4.1: in every local solution
-    r_enum = right - adjv
+    r_enum = right & ~adjv
+    n_keep = r_keep.bit_count()
     # §4.2 partition of R_enum by slack against L.
-    r1 = sorted(u for u in r_enum if g.miss_r(u, left) <= k - 1)
-    r2_part = sorted(u for u in r_enum if g.miss_r(u, left) >= k)
+    n_left = left.bit_count()
+    r1: list[int] = []  # as single-bit masks, so that a pick's sum is its mask
+    r2_part: list[int] = []
+    for u in ids_of(r_enum):
+        if n_left - (bits_r[u] & left).bit_count() <= k - 1:
+            r1.append(1 << u)
+        else:
+            r2_part.append(u)
     n_r1 = len(r1)
+    lv = left | 1 << v
 
     for t1 in range(min(k, n_r1) + 1):
         for r1_pick in combinations(r1, t1):
+            r1_set = sum(r1_pick)
             for t2 in range(min(k - t1, len(r2_part)) + 1):
                 total = t1 + t2
                 if r2 and total < k and t1 < n_r1:
                     # Lemma 4.2: some u ∈ R¹_enum \ R''₁ could always be
                     # added, so no candidate with this R' is maximal.
                     continue
-                if len(r_keep) + total < r_min:
+                if n_keep + total < r_min:
                     continue
                 for r2_pick in combinations(r2_part, t2):
-                    r2_set = frozenset(r2_pick)
-                    r_extra = frozenset(r1_pick) | r2_set
+                    r2_set = mask_of(r2_pick)
+                    r_extra = r1_set | r2_set
                     r_prime = r_keep | r_extra
+                    leftover = r_enum & ~r_extra
+                    if not r2_set:
+                        # With R²'' empty the removal enumeration reduces
+                        # to its t = 0 candidate, removing nothing;
+                        # inlined, as it is the common case.
+                        cand = (lv, r_prime)
+                        if _locally_maximal(g, k, cand, 0, leftover, total):
+                            yield cand
+                        continue
+                    # §4.3 L_remo: the vertices of L disconnected from
+                    # some u ∈ R²''.
+                    common = -1
+                    for u in r2_pick:
+                        common &= bits_r[u]
+                    l_remo = list(ids_of(left & ~common))
                     yield from _enum_removals(
-                        g, left, v, k, r_prime, r_extra, r2_set, r_enum, l2
+                        g, k, lv, r_prime, l_remo, r2_pick, leftover, total, l2
                     )
 
 
 def _enum_removals(
     g: BipartiteGraph,
-    left: frozenset[int],
-    v: int,
     k: int,
-    r_prime: frozenset[int],
-    r_extra: frozenset[int],
-    r2_set: frozenset[int],
-    r_enum: frozenset[int],
+    lv: int,
+    r_prime: int,
+    l_remo: list[int],
+    r2_ids: tuple[int, ...],
+    leftover: int,
+    n_extra: int,
     l2: bool,
-) -> Iterator[Solution]:
-    """§4.3/4.4: enumerate minimal removal sets L̄' ⊆ L_remo for one R'."""
-    # Only vertices disconnected from some u ∈ R²'' can be in a minimal
-    # removal set (§4.3; every other removed vertex stays re-addable).
-    l_remo = sorted(x for x in left if r2_set - g.adj_l[x])
-    max_rm = len(r2_set)
-    minimal_hits: list[frozenset[int]] = []
-    for t in range(min(max_rm, len(l_remo)) + 1):
+) -> Iterator[MaskPair]:
+    """§4.3/4.4: enumerate minimal removal sets L̄' ⊆ L_remo for one R'.
+
+    ``lv`` is L ∪ {v}. Only vertices disconnected from some u ∈ R²'' can
+    be in a minimal removal set (every other removed vertex stays
+    re-addable), so ``l_remo`` holds exactly those.
+    """
+    bits_r = g.bits_r
+    r2_adj = [bits_r[u] for u in r2_ids]
+    minimal_hits: list[int] = []
+    for t in range(min(len(r2_ids), len(l_remo)) + 1):
         for rm_pick in combinations(l_remo, t):
-            rm = frozenset(rm_pick)
-            if l2 and any(hit <= rm for hit in minimal_hits):
+            rm = mask_of(rm_pick)
+            if l2 and any(not hit & ~rm for hit in minimal_hits):
                 continue  # §4.4: supersets of a success are non-maximal
             # Feasibility: each u ∈ R²'' sits at k+1 misses in
             # (L ∪ {v}, R'); removing one of its non-neighbours fixes it.
-            if any(rm <= g.adj_r[u] for u in r2_set):
+            if any(not rm & ~adj for adj in r2_adj):
                 continue
-            l_prime = left - rm
-            cand: Solution = (l_prime | {v}, r_prime)
-            if _locally_maximal(g, k, cand, rm, r_enum - r_extra, len(r_extra)):
+            cand = (lv & ~rm, r_prime)
+            if _locally_maximal(g, k, cand, rm, leftover, n_extra):
                 if l2:
                     minimal_hits.append(rm)
                 yield cand
@@ -115,9 +164,9 @@ def _enum_removals(
 def _locally_maximal(
     g: BipartiteGraph,
     k: int,
-    cand: Solution,
-    removed_left: frozenset[int],
-    leftover_right: frozenset[int],
+    cand: MaskPair,
+    removed_left: int,
+    leftover_right: int,
     v_misses: int,
 ) -> bool:
     """Maximality of ``cand`` within the almost-satisfying graph.
@@ -125,14 +174,40 @@ def _locally_maximal(
     The only vertices of the almost-satisfying graph outside ``cand`` are
     the removed left vertices and the unchosen R_enum vertices.
     """
-    for x in removed_left:
-        if can_add_left(g, cand, x, k):
+    left, right = cand
+    bits_l, bits_r = g.bits_l, g.bits_r
+    for x in ids_of(removed_left):
+        if _addable(bits_l[x], left, right, bits_r, k):
             return False
     if v_misses < k:  # otherwise v blocks every leftover right vertex
-        for u in leftover_right:
-            if can_add_right(g, cand, u, k):
+        for u in ids_of(leftover_right):
+            if _addable(bits_r[u], right, left, bits_l, k):
                 return False
     return True
+
+
+def enum_local(
+    g: BipartiteGraph,
+    left: int,
+    right: int,
+    v: int,
+    k: int,
+    *,
+    side: str = "L",
+    l2: bool = True,
+    r2: bool = True,
+    r_min: int = 0,
+) -> Iterator[MaskPair]:
+    """`enum_almost_sat` on masks: H = (left, right), local solutions as
+    mask pairs. This is the kernel the traversal engine calls."""
+    if side == "L":
+        return _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min)
+    if side == "R":
+        if r_min:
+            raise ValueError("r_min (θ pruning) is defined for side='L' only")
+        swapped = _enum_left(g.transpose(), right, left, v, k, l2=l2, r2=r2)
+        return ((b, a) for a, b in swapped)
+    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
 
 
 def enum_almost_sat(
@@ -151,17 +226,9 @@ def enum_almost_sat(
     For ``side='R'`` the procedure runs on the transposed graph (the
     refinement lemmas are side-symmetric) and results are swapped back.
     """
-    left, right = sol
-    if side == "L":
-        yield from _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min)
-    elif side == "R":
-        if r_min:
-            raise ValueError("r_min (θ pruning) is defined for side='L' only")
-        gt = g.transpose()
-        for a, b in _enum_left(gt, right, left, v, k, l2=l2, r2=r2):
-            yield (b, a)
-    else:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    for a, b in enum_local(g, mask_of(sol[0]), mask_of(sol[1]), v, k,
+                           side=side, l2=l2, r2=r2, r_min=r_min):
+        yield masks_to_solution(a, b)
 
 
 def enum_almost_sat_inflation(

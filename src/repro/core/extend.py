@@ -11,8 +11,70 @@ later. Tests assert the results against `is_maximal_kbiplex`.
 """
 from __future__ import annotations
 
-from ..bipartite.graph import BipartiteGraph, Solution
-from ..bipartite.predicates import can_add_left, can_add_right
+from ..bipartite.graph import (
+    BipartiteGraph,
+    MaskPair,
+    Solution,
+    ids_of,
+    mask_of,
+    masks_to_solution,
+)
+
+
+def _grow(grow: int, fixed: int, adj_grow: list[int], adj_fixed: list[int],
+          n_grow: int, k: int) -> int:
+    """One ascending pass adding vertices to side ``grow`` of the k-biplex
+    (grow, fixed); ``fixed`` is constant during the pass.
+
+    A vertex x joins iff its own misses against ``fixed`` are ≤ k and it
+    is adjacent to every "tight" fixed vertex (one already at k misses).
+    Candidates come from adjacency, never from a scan of the side: with
+    |fixed| > k, x needs a neighbour in ``fixed``, so the candidates start
+    as the union of the fixed side's neighbour masks; every vertex that
+    turns tight ANDs its neighbour mask in. Skipped ids are exactly the
+    non-addable ones, so the result is that of the plain ascending greedy.
+    """
+    if not fixed:
+        # Nothing constrains: every vertex joins (e.g. extending a local
+        # solution whose right side is empty).
+        return (1 << n_grow) - 1
+    n_fixed = fixed.bit_count()
+    n_grow_now = grow.bit_count()
+    miss = {y: n_grow_now - (adj_fixed[y] & grow).bit_count()
+            for y in ids_of(fixed)}
+    if n_fixed <= k:
+        # Every vertex passes its own miss bound (≤ |fixed| ≤ k).
+        cand = (1 << n_grow) - 1
+    else:
+        cand = 0
+        for y in miss:
+            cand |= adj_fixed[y]
+    cand &= ~grow
+    for y, m in miss.items():
+        if m >= k:
+            cand &= adj_fixed[y]
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        ax = adj_grow[low.bit_length() - 1]
+        if n_fixed - (ax & fixed).bit_count() > k:
+            continue
+        grow |= low
+        for y in ids_of(fixed & ~ax):
+            miss[y] += 1
+            if miss[y] == k:
+                cand &= adj_fixed[y]
+    return grow
+
+
+def extend_masks(
+    g: BipartiteGraph, left: int, right: int, k: int, *, allow_right: bool = True
+) -> MaskPair:
+    """`extend_to_maximal` on masks; the kernel the traversal engine calls."""
+    left = _grow(left, right, g.bits_l, g.bits_r, g.n_left, k)
+    if allow_right:
+        right = _grow(right, left, g.bits_r, g.bits_l, g.n_right, k)
+    return left, right
 
 
 def extend_to_maximal(
@@ -29,78 +91,8 @@ def extend_to_maximal(
     iTraversal's right-shrinking mode (Algorithm 2 line 8), where the
     input is already right-maximal so the result is still a global MBP.
     """
-    # Mutable sets during the pass (a frozenset copy per addition would be
-    # quadratic on graphs with tens of thousands of vertices), and a
-    # counting pre-filter: v can only join if δ(v, R) ≥ |R| − k, which is
-    # read off a neighbour count over R's adjacency lists instead of
-    # probing all |𝓛| vertices. The accepted set — hence the pre-set-order
-    # determinism — is unchanged: skipped vertices fail `can_add_*` anyway.
-    from collections import Counter
-
-    lcur: set[int] = set(left)
-    rcur: set[int] = set(right)
-    cur = (lcur, rcur)  # predicates only read the sets
-
-    def grow_pass(grow: set[int], fixed: set[int], adj_grow, adj_fixed,
-                  n_grow: int, can_add) -> None:
-        """One ascending pass adding vertices to ``grow`` (``fixed`` is
-        the other side, constant during the pass)."""
-        if not fixed:
-            # Nothing constrains: every vertex joins (e.g. extending a
-            # local solution whose right side is empty).
-            grow.update(range(n_grow))
-            return
-        if len(fixed) <= k:
-            # Every candidate passes its own miss bound (≤ |fixed| ≤ k);
-            # only the fixed side's misses constrain, tracked
-            # incrementally. Per candidate: one C-level subset test
-            # against the current capacity-saturated ("tight") vertices.
-            # Once every fixed vertex is tight, only common neighbours of
-            # the whole fixed side can still join — iterate exactly those.
-            miss = {y: len(grow) - len(adj_fixed[y] & grow) for y in fixed}
-            tight = frozenset(y for y in fixed if miss[y] >= k)
-            candidates: "object" = range(n_grow)
-            restricted = False
-            while True:
-                for x in candidates:
-                    if x in grow or not tight <= adj_grow[x]:
-                        continue
-                    bad = [y for y in fixed if y not in adj_grow[x]]
-                    grow.add(x)
-                    newly_tight = False
-                    for y in bad:
-                        miss[y] += 1
-                        newly_tight |= miss[y] == k
-                    if not newly_tight:
-                        continue
-                    tight = frozenset(y for y in fixed if miss[y] >= k)
-                    if not restricted and len(tight) == len(fixed) and fixed:
-                        # Resume after x on the sorted common-neighbour
-                        # set; determinism is preserved since all skipped
-                        # ids are non-addable from here on.
-                        common = frozenset.intersection(
-                            *(adj_fixed[y] for y in fixed)
-                        )
-                        candidates = sorted(c for c in common if c > x)
-                        restricted = True
-                        break
-                else:
-                    return
-        # General case: x can only join if δ(x, fixed) ≥ |fixed| − k, read
-        # off a neighbour count over the fixed side's adjacency lists
-        # instead of probing all n_grow vertices.
-        cnt: Counter[int] = Counter()
-        for y in fixed:
-            cnt.update(adj_fixed[y])
-        need = len(fixed) - k
-        for x in sorted(c for c, n in cnt.items() if n >= need and c not in grow):
-            if can_add(g, cur, x, k):
-                grow.add(x)
-
-    grow_pass(lcur, rcur, g.adj_l, g.adj_r, g.n_left, can_add_left)
-    if allow_right:
-        grow_pass(rcur, lcur, g.adj_r, g.adj_l, g.n_right, can_add_right)
-    return (frozenset(lcur), frozenset(rcur))
+    return masks_to_solution(*extend_masks(
+        g, mask_of(left), mask_of(right), k, allow_right=allow_right))
 
 
 def initial_solution_left(g: BipartiteGraph, k: int) -> Solution:

@@ -39,12 +39,27 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterator
 
-from ..bipartite.graph import BipartiteGraph, Solution, SolutionKey, solution_key
-from ..bipartite.predicates import can_add_right
-from .almost_sat import enum_almost_sat, enum_almost_sat_inflation
-from .extend import extend_to_maximal, initial_solution_any, initial_solution_left
+from ..bipartite.graph import (
+    BipartiteGraph,
+    MaskPair,
+    Solution,
+    SolutionKey,
+    at_least,
+    ids_of,
+    mask_of,
+    masks_to_solution,
+    solution_key,
+)
+from .almost_sat import enum_almost_sat_inflation
+# The per-item layers of the successor step are called through these module
+# globals, looked up at call time, so a tracer can wrap them. The mask
+# kernels keep the names of the frozenset APIs they implement.
+from .almost_sat import enum_local as enum_almost_sat
+from .extend import extend_masks as extend_to_maximal
+from .extend import initial_solution_any, initial_solution_left
 
 
 @dataclass
@@ -64,97 +79,214 @@ class TraversalStats:
         return dict(self.__dict__)
 
 
+# A link: the successor MBP, its sides as masks, and its exclusion mask.
+Link = tuple[Solution, MaskPair, int]
+
+
 @dataclass
 class _Node:
     sol: Solution
-    succ: Iterator[tuple[Solution, frozenset[int]]]
+    succ: Iterator[Link]
     depth: int
     emitted: bool
 
 
 def _has_right_extension(
-    g: BipartiteGraph, loc: Solution, k: int, outside_right: frozenset[int]
+    g: BipartiteGraph, left: int, right: int, k: int, outside_right: int
 ) -> bool:
     """Algorithm 2 line 7: ∃ u ∈ 𝓡 \\ V(H_loc) with H_loc ∪ {u} a k-biplex?
 
-    Right vertices of the almost-satisfying graph were already ruled out
-    by local maximality, so only ``outside_right`` (𝓡 \\ R) matters.
-    Instead of scanning all of it (O(|𝓡|) per local solution), candidates
-    are derived from the solution's own adjacency:
+    ``left``/``right`` are H_loc's sides as masks. Right vertices of the
+    almost-satisfying graph were already ruled out by local maximality, so
+    only ``outside_right`` (𝓡 \\ R) matters. Both conditions on u are
+    evaluated on whole masks, with no loop over candidates:
 
     * a left vertex x at miss-capacity (δ̄(x, R_loc) ≥ k) blocks every u
       it disconnects, so u must be a common neighbour of all such x;
-    * with no vertex at capacity, u only needs δ̄(u, L_loc) ≤ k, i.e. at
-      least |L_loc| − k neighbours in L_loc — found by counting over the
-      left adjacency lists.
+    * u itself may miss at most k of L_loc: u must lie outside the bits
+      that at least k+1 of the masks 𝓡 \\ Γ(x) (x ∈ L_loc) share.
     """
     if not outside_right:
         return False
-    left, right = loc
-    tight = [x for x in left if g.miss_l(x, right) >= k]
-    if tight:
-        t0 = min(tight, key=lambda x: len(g.adj_l[x]))
-        for u in g.adj_l[t0]:
-            if u not in outside_right:
-                continue
-            if g.miss_r(u, left) <= k and all(u in g.adj_l[x] for x in tight):
-                return True
-        return False
-    if len(left) <= k:
-        return True  # every outside u satisfies δ̄(u, L) ≤ |L| ≤ k
-    from collections import Counter
-
-    cnt: Counter[int] = Counter()
-    for x in left:
-        cnt.update(g.adj_l[x])
-    need = len(left) - k
-    return any(c >= need and u in outside_right for u, c in cnt.items())
+    bits_l = g.bits_l
+    adj = [bits_l[x] for x in ids_of(left)]
+    max_hits = right.bit_count() - k  # x is tight iff |Γ(x, R_loc)| ≤ this
+    cand = outside_right
+    for ax in adj:
+        if (ax & right).bit_count() <= max_hits:
+            cand &= ax
+            if not cand:
+                return False
+    return bool(cand & ~at_least([cand & ~ax for ax in adj], k + 1))
 
 
-def _theta_potential_ok(
+def _potential_ok(
     g: BipartiteGraph,
-    right: frozenset[int],
+    right: int,
     k: int,
     theta_l: int,
     theta_r: int,
+    excluded: int,
 ) -> bool:
-    """Can any MBP with sides ≥ (θ_L, θ_R) have its right side inside
-    ``right``?
+    """Can any MBP with sides ≥ (θ_L, θ_R) and no vertex of ``excluded``
+    have its right side inside ``right``? (Both masks.)
 
     The (θ−k)-core argument of §5/§6.1, applied dynamically: such an MBP
     (L'', R'') has every v ∈ L'' with δ(v, right) ≥ δ(v, R'') ≥
     |R''| − k ≥ θ_R − k, so L'' lies inside the potential set P; and
-    every u ∈ R'' has δ(u, L'') ≥ θ_L − k with L'' ⊆ P. Counting via the
-    right side's adjacency lists keeps this O(Σ_{u∈right} deg(u)).
+    every u ∈ R'' has δ(u, L'') ≥ θ_L − k with L'' ⊆ P. P is counted on
+    the right side's neighbour masks (`at_least`), not by a scan of 𝓛.
     """
-    from collections import Counter
-
+    bits_r = g.bits_r
+    adj = [bits_r[u] for u in ids_of(right)]
     need_l = theta_r - k
-    if need_l <= 0:
-        p = frozenset(range(g.n_left))
-    else:
-        cnt: Counter[int] = Counter()
-        for u in right:
-            cnt.update(g.adj_r[u])
-        p = frozenset(v for v, c in cnt.items() if c >= need_l)
-    if len(p) < theta_l:
+    p = at_least(adj, need_l) if need_l > 0 else (1 << g.n_left) - 1
+    p &= ~excluded
+    if p.bit_count() < theta_l:
         return False
     need_r = theta_l - k
     if need_r <= 0:
-        return len(right) >= theta_r
-    n_ok = sum(1 for u in right if len(g.adj_r[u] & p) >= need_r)
-    return n_ok >= theta_r
+        return len(adj) >= theta_r
+    return sum(1 for a in adj if (a & p).bit_count() >= need_r) >= theta_r
+
+
+def _theta_potential_ok(
+    g: BipartiteGraph, right: int, k: int, theta_l: int, theta_r: int
+) -> bool:
+    """`_potential_ok` for one local solution's right side. A global of its
+    own so that tracing times this use apart from `traverse`'s
+    expandability test."""
+    return _potential_ok(g, right, k, theta_l, theta_r, 0)
 
 
 def _normalize_theta(
     theta: int | tuple[int, int] | None,
 ) -> tuple[int, int] | None:
+    """``theta`` as a (θ_L, θ_R) pair of non-negative ints, or None."""
     if theta is None:
         return None
-    if isinstance(theta, int):
-        return (theta, theta)
-    tl, tr = theta
-    return (int(tl), int(tr))
+
+    def is_int(t) -> bool:
+        return isinstance(t, Integral) and not isinstance(t, bool)
+
+    pair = (theta, theta) if is_int(theta) else theta
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(is_int(t) and t >= 0 for t in pair)):
+        raise ValueError(
+            "theta must be a non-negative int or a (theta_l, theta_r) pair "
+            f"of them, got {theta!r}"
+        )
+    return (int(pair[0]), int(pair[1]))
+
+
+@dataclass
+class SuccessorStep:
+    """Algorithm 2 lines 5–9 for one engine configuration.
+
+    For every anchor of a solution H (left vertices, plus right ones for
+    bTraversal): the §4 local solutions, the θ-potential check, the §3.4
+    right-shrinking check, the exclusion test and the extension to a
+    maximal k-biplex. Called with H's sides and exclusion set as masks; it
+    yields a `Link` per surviving local solution, and only the link
+    becomes frozensets. The local DFS (`traverse`) and the frontier BFS
+    (`repro.distributed.frontier`) share it; the defaults are the
+    frontier's configuration, iTraversal without exclusion.
+    """
+
+    g: BipartiteGraph
+    k: int
+    stats: TraversalStats = field(default_factory=TraversalStats)
+    left_anchored: bool = True
+    right_shrinking: bool = True
+    exclusion: str | None = None
+    theta: tuple[int, int] | None = None
+    local_enum: str = "l2r2"
+
+    def __post_init__(self) -> None:
+        g, k = self.g, self.k
+        if self.local_enum == "inflation":
+            def local(left, right, v, side, r_min):
+                sol = masks_to_solution(left, right)
+                for a, b in enum_almost_sat_inflation(g, sol, v, k, side=side):
+                    yield mask_of(a), mask_of(b)
+        else:
+            try:
+                l2 = {"l1": False, "l2": True}[self.local_enum[:2]]
+                r2 = {"r1": False, "r2": True}[self.local_enum[2:]]
+            except KeyError:
+                raise ValueError(f"unknown local_enum {self.local_enum!r}") from None
+
+            def local(left, right, v, side, r_min):
+                return enum_almost_sat(
+                    g, left, right, v, k, side=side, l2=l2, r2=r2, r_min=r_min
+                )
+
+        self._local = local
+
+    def __call__(self, left: int, right: int, excl: int) -> Iterator[Link]:
+        g, k, st, theta = self.g, self.k, self.stats, self.theta
+        exclusion, right_shrinking = self.exclusion, self.right_shrinking
+        local = self._local
+        bits_l = g.bits_l
+        theta_l, theta_r = theta if theta is not None else (0, 0)
+        st.expansions += 1
+        free_right = ((1 << g.n_right) - 1) & ~right
+        outside_right = free_right if right_shrinking else 0
+        if self.left_anchored:
+            free_right = 0  # no right anchors
+        # ``processed`` holds the left anchors finished at this node; a
+        # child's exclusion set is excl ∪ processed-so-far.
+        processed = 0
+        for side, free in (("L", ((1 << g.n_left) - 1) & ~left), ("R", free_right)):
+            for v in ids_of(free):
+                bit = 1 << v
+                if side == "L":
+                    if exclusion and excl & bit:
+                        processed |= bit
+                        continue
+                    # §5 right-side pruning (1): any solution below this
+                    # anchor keeps ≤ δ(v,R)+k right vertices.
+                    if (theta is not None
+                            and (bits_l[v] & right).bit_count() + k < theta_r):
+                        processed |= bit
+                        continue
+                banned = excl | processed
+                child_excl = banned if exclusion else excl
+                st.almost_sat_calls += 1
+                for loc_l, loc_r in local(left, right, v, side, theta_r):
+                    st.local_solutions += 1
+                    if theta is not None and not _theta_potential_ok(
+                        g, loc_r, k, theta_l, theta_r
+                    ):
+                        # Under right-shrinking the extension keeps the
+                        # local solution's right side, so the potential
+                        # check on it prunes the link before the expensive
+                        # extension and right-shrinking scans; the check
+                        # also passes whenever the extension itself is
+                        # large, so no emission is lost.
+                        st.pruned_theta_potential += 1
+                        continue
+                    if right_shrinking and _has_right_extension(
+                        g, loc_l, loc_r, k, outside_right
+                    ):
+                        st.pruned_right_shrinking += 1
+                        continue
+                    if exclusion == "link" and loc_l & banned:
+                        # Early exit: the extension is a superset of the
+                        # local solution, so the link check below would
+                        # prune anyway.
+                        st.pruned_exclusion += 1
+                        continue
+                    ext = extend_to_maximal(
+                        g, loc_l, loc_r, k, allow_right=not right_shrinking
+                    )
+                    if exclusion == "link" and ext[0] & banned:
+                        st.pruned_exclusion += 1
+                        continue
+                    st.links += 1
+                    yield masks_to_solution(*ext), ext, child_excl
+                if side == "L":
+                    processed |= bit
 
 
 def traverse(
@@ -194,108 +326,11 @@ def traverse(
         raise ValueError("θ pruning requires the full iTraversal prunings")
     st = stats if stats is not None else TraversalStats()
     theta_l, theta_r = theta if theta is not None else (0, 0)
-
-    if local_enum == "inflation":
-        def local_solutions(sol, v, side, r_min):
-            return enum_almost_sat_inflation(g, sol, v, k, side=side)
-    else:
-        try:
-            l2 = {"l1": False, "l2": True}[local_enum[:2]]
-            r2 = {"r1": False, "r2": True}[local_enum[2:]]
-        except KeyError:
-            raise ValueError(f"unknown local_enum {local_enum!r}") from None
-
-        def local_solutions(sol, v, side, r_min):
-            return enum_almost_sat(
-                g, sol, v, k, side=side, l2=l2, r2=r2, r_min=r_min
-            )
-
-    full_right = frozenset(range(g.n_right))
-    r_min = theta_r if theta is not None else 0
-
-    def successors(
-        sol: Solution, excl: frozenset[int]
-    ) -> Iterator[tuple[Solution, frozenset[int]]]:
-        st.expansions += 1
-        left, right = sol
-        outside_right = frozenset() if not right_shrinking else (
-            full_right - right
-        )
-
-        def anchors() -> Iterator[tuple[str, int]]:
-            # Lazily — a materialized list per expansion costs O(|V|)
-            # even when the DFS consumes only the first few successors.
-            for v in range(g.n_left):
-                if v not in left:
-                    yield ("L", v)
-            if not left_anchored:
-                for u in range(g.n_right):
-                    if u not in right:
-                        yield ("R", u)
-
-        # ``processed`` holds anchors finished at this node; a child's
-        # exclusion set is excl ∪ processed-so-far. Materializing that
-        # union per anchor is O(|excl|) and dominates on big graphs, so
-        # membership checks use (excl, processed_set) directly and the
-        # union is built lazily — the engine only calls the thunk for
-        # *new* solutions, of which there are only α.
-        processed: list[int] = []
-        processed_set: set[int] = set()
-        for side, v in anchors():
-            if exclusion and side == "L" and v in excl:
-                processed.append(v)
-                processed_set.add(v)
-                continue
-            if theta is not None and side == "L":
-                # §5 right-side pruning (1): any solution below this
-                # anchor keeps ≤ δ(v,R)+k right vertices.
-                if len(g.adj_l[v] & right) + k < theta_r:
-                    processed.append(v)
-                    processed_set.add(v)
-                    continue
-            n_proc = len(processed)
-
-            def excl_thunk(n=n_proc):
-                return excl | frozenset(processed[:n]) if exclusion else excl
-
-            st.almost_sat_calls += 1
-            for loc in local_solutions(sol, v, side, r_min):
-                st.local_solutions += 1
-                if theta is not None and not _theta_potential_ok(
-                    g, loc[1], k, theta_l, theta_r
-                ):
-                    # Under right-shrinking the extension keeps the local
-                    # solution's right side, so the potential check on
-                    # loc[1] prunes the link before the expensive
-                    # extension and right-shrinking scans; the check also
-                    # passes whenever the extension itself is large, so
-                    # no emission is lost.
-                    st.pruned_theta_potential += 1
-                    continue
-                if right_shrinking:
-                    if _has_right_extension(g, loc, k, outside_right):
-                        st.pruned_right_shrinking += 1
-                        continue
-                if exclusion == "link" and any(
-                    x in excl or x in processed_set for x in loc[0]
-                ):
-                    # Early exit: the extension is a superset of the local
-                    # solution, so the link check below would prune anyway.
-                    st.pruned_exclusion += 1
-                    continue
-                ext = extend_to_maximal(
-                    g, loc[0], loc[1], k, allow_right=not right_shrinking
-                )
-                if exclusion == "link" and any(
-                    x in excl or x in processed_set for x in ext[0]
-                ):
-                    st.pruned_exclusion += 1
-                    continue
-                st.links += 1
-                yield ext, excl_thunk
-            if side == "L":
-                processed.append(v)
-                processed_set.add(v)
+    successors = SuccessorStep(
+        g, k, stats=st, left_anchored=left_anchored,
+        right_shrinking=right_shrinking, exclusion=exclusion, theta=theta,
+        local_enum=local_enum,
+    )
 
     h0 = initial_solution_left(g, k) if left_anchored else initial_solution_any(g, k)
 
@@ -305,36 +340,25 @@ def traverse(
         st.solutions += 1
         return True
 
-    def expandable(sol: Solution, excl: frozenset[int]) -> bool:
+    def expandable(right: int, excl: int) -> bool:
         if theta is None:
             return True
-        right = sol[1]
-        if len(right) < theta_r:  # §5 right-side pruning (3)
+        if right.bit_count() < theta_r:  # §5 right-side pruning (3)
             return False
-        if exclusion and g.n_left - len(excl) < theta_l:  # §5 left-side pruning
+        if exclusion and g.n_left - excl.bit_count() < theta_l:  # §5 left-side pruning
             return False
         # Potential pruning (our addition, same (θ−k)-core argument as
         # §5/§6.1 applied *dynamically*): every large MBP (L'', R'')
-        # reachable from (L, R) has R'' ⊆ R, so each v ∈ L'' satisfies
-        # δ(v, R) ≥ δ(v, R'') ≥ |R''| − k ≥ θ_R − k, i.e. L'' lies inside
-        # the potential set P below (minus the exclusion set); and each
-        # u ∈ R'' has ≥ θ_L − k neighbours inside L'' ⊆ P. Too-small
-        # potential sets make the whole subtree fruitless.
-        need_l = theta_r - k
-        potential = [v for v in range(g.n_left)
-                     if v not in excl and len(g.adj_l[v] & right) >= need_l]
-        if len(potential) < theta_l:
-            return False
-        pset = frozenset(potential)
-        need_r = theta_l - k
-        n_right_ok = sum(1 for u in right if len(g.adj_r[u] & pset) >= need_r)
-        return n_right_ok >= theta_r
+        # reachable from (L, R) has R'' ⊆ R and avoids the exclusion set,
+        # so too-small potential sets make the whole subtree fruitless.
+        return _potential_ok(g, right, k, theta_l, theta_r, excl)
 
     visited: set[SolutionKey] = {solution_key(h0)}
     root_pre = True  # depth 0 → pre-order
     stack: list[_Node] = []
-    if expandable(h0, frozenset()):
-        stack.append(_Node(h0, successors(h0, frozenset()), 0, root_pre))
+    h0_left, h0_right = mask_of(h0[0]), mask_of(h0[1])
+    if expandable(h0_right, 0):
+        stack.append(_Node(h0, successors(h0_left, h0_right, 0), 0, root_pre))
     if emit(h0):
         yield h0
     while stack:
@@ -347,19 +371,20 @@ def traverse(
             if not node.emitted and emit(node.sol):
                 yield node.sol
             continue
-        child, excl_thunk = nxt
+        child, (child_left, child_right), child_excl = nxt
         ck = solution_key(child)
         if ck in visited:
             continue
         visited.add(ck)
-        child_excl = excl_thunk()
         depth = node.depth + 1
         pre = (depth % 2 == 0) if alternate_output else True
-        if expandable(child, child_excl):
+        if expandable(child_right, child_excl):
             # ``emitted=pre``: pre-order children are emitted now, the
             # rest when their expansion completes (pop) — the §3.5
             # alternating-output trick for polynomial delay.
-            stack.append(_Node(child, successors(child, child_excl), depth, pre))
+            stack.append(_Node(
+                child, successors(child_left, child_right, child_excl), depth, pre
+            ))
             if pre and emit(child):
                 yield child
         else:

@@ -10,13 +10,13 @@ a DataFrame of newly-discovered MBPs:
             candidates --dropDuplicates / anti-join visited--> new
             visited ∪= new;  frontier = new
 
-The per-solution successor computation is the same pure-Python step as
-local iTraversal (EnumAlmostSat → right-shrinking check → left-only
-extension), executed inside executors against a broadcast adjacency. The
-*exclusion strategy* is inherently order-dependent (it threads state
-along the DFS), so the distributed traversal omits it; the result set is
-identical — asserted against local iTraversal in the tests — only the
-number of traversed links differs.
+The per-solution successor computation is the successor step of local
+iTraversal itself (`SuccessorStep`: EnumAlmostSat → θ-potential and
+right-shrinking checks → left-only extension), executed inside executors
+against a broadcast adjacency. The *exclusion strategy* is inherently
+order-dependent (it threads state along the DFS), so the distributed
+traversal omits it; the result set is identical — asserted against local
+iTraversal in the tests — only the number of traversed links differs.
 
 Lineage is cut with ``localCheckpoint`` every round, the standard idiom
 for iterative dataflows.
@@ -27,10 +27,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..bipartite.graph import BipartiteGraph, Solution
-from ..core.almost_sat import enum_almost_sat
-from ..core.extend import extend_to_maximal, initial_solution_left
-from ..core.itraversal import _has_right_extension, _normalize_theta
+from ..bipartite.graph import BipartiteGraph, Solution, mask_of
+from ..core.extend import initial_solution_left
+from ..core.itraversal import SuccessorStep, _normalize_theta
 
 SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
 
@@ -47,25 +46,11 @@ def solution_row(sol: Solution) -> dict:
 def rs_successors(
     g: BipartiteGraph, k: int, sol: Solution, theta: tuple[int, int] | None
 ) -> list[Solution]:
-    """Left-anchored, right-shrinking successors of one solution.
-
-    Mirrors the successor step of `repro.core.itraversal.traverse` with
-    ``exclusion=None`` (see module docstring for why).
-    """
-    left, right = sol
-    full_right = frozenset(range(g.n_right))
-    r_min = theta[1] if theta else 0
-    out: list[Solution] = []
-    for v in range(g.n_left):
-        if v in left:
-            continue
-        if theta and len(g.adj_l[v] & right) + k < theta[1]:
-            continue
-        for loc in enum_almost_sat(g, sol, v, k, r_min=r_min):
-            if _has_right_extension(g, loc, k, full_right - right):
-                continue
-            out.append(extend_to_maximal(g, loc[0], loc[1], k, allow_right=False))
-    return out
+    """Left-anchored, right-shrinking successors of one solution: the
+    successor step of `repro.core.itraversal.traverse` with
+    ``exclusion=None`` (see module docstring for why)."""
+    step = SuccessorStep(g, k, theta=theta)
+    return [link for link, _, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
 
 
 def frontier_enumerate(

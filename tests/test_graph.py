@@ -83,6 +83,7 @@ def test_transpose_roundtrip(g):
 def test_transpose_shares_adjacency(g):
     gt = g.transpose()
     assert gt.adj_l is g.adj_r
+    assert gt.bits_l is g.bits_r and gt.bits_r is g.bits_l
 
 
 def test_induced_reindexes(g):

@@ -1,0 +1,165 @@
+"""The bitmask kernels of the successor step against frozenset references.
+
+The traversal engine runs EnumAlmostSat, the right-shrinking check, the
+extension and the θ-potential test on int bitmasks. Each kernel is checked
+here against a reference written with the frozenset predicates of
+`repro.bipartite.predicates` (the oracle), on random graphs that include
+ids ≥ 64 (multi-limb ints), empty sides, isolated vertices and |R| ≤ k.
+"""
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bipartite.generators import random_bipartite_gnp
+from repro.bipartite.graph import ids_of, mask_of
+from repro.bipartite.predicates import (
+    can_add_left,
+    can_add_right,
+    is_kbiplex,
+    is_maximal_kbiplex,
+)
+from repro.core.almost_sat import enum_almost_sat, enum_almost_sat_brute
+from repro.core.extend import extend_masks
+from repro.core.itraversal import (
+    _has_right_extension,
+    _potential_ok,
+    _theta_potential_ok,
+)
+
+# Small sides, or sides just past one 64-bit limb.
+side_size = st.one_of(st.integers(0, 6), st.integers(62, 70))
+
+
+@st.composite
+def graphs(draw):
+    return random_bipartite_gnp(
+        n_left=draw(side_size),
+        n_right=draw(side_size),
+        p=draw(st.sampled_from([0.03, 0.3, 0.7, 0.97])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def grow(g, left, right, k, items):
+    """Add each (is_left, id) of ``items`` in turn if the k-biplex stays one."""
+    for is_left, i in items:
+        if is_left and i not in left and can_add_left(g, (left, right), i, k):
+            left = left | {i}
+        elif not is_left and i not in right and can_add_right(g, (left, right), i, k):
+            right = right | {i}
+    return left, right
+
+
+@st.composite
+def biplexes(draw, g, k):
+    """A k-biplex of ``g`` grown from drawn vertices (not always maximal)."""
+    picks = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 69)), max_size=40))
+    items = [(is_left, i) for is_left, i in picks
+             if i < (g.n_left if is_left else g.n_right)]
+    left, right = grow(g, frozenset(), frozenset(), k, items)
+    assert is_kbiplex(g, left, right, k)
+    return left, right
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.sets(st.integers(0, 3000)))
+def test_ids_of_inverts_mask_of(ids):
+    assert list(ids_of(mask_of(ids))) == sorted(ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_rs_check_matches_can_add_right(data, g, k):
+    left, right = data.draw(biplexes(g, k))
+    outside = data.draw(st.sets(st.integers(0, g.n_right - 1))
+                        if g.n_right else st.just(set())) - right
+    want = any(can_add_right(g, (left, right), u, k) for u in outside)
+    got = _has_right_extension(g, mask_of(left), mask_of(right), k, mask_of(outside))
+    # perfbench counts ``out is True``: a truthy mask would read as False.
+    assert got is want
+
+
+def greedy(g, left, right, k, allow_right):
+    """Ascending single pass over each side with the oracle predicates."""
+    items = [(True, v) for v in range(g.n_left)]
+    if allow_right:
+        items += [(False, u) for u in range(g.n_right)]
+    return grow(g, left, right, k, items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3), allow_right=st.booleans())
+def test_extension_matches_ascending_greedy(data, g, k, allow_right):
+    left, right = data.draw(biplexes(g, k))
+    want = greedy(g, left, right, k, allow_right)
+    lm, rm = extend_masks(g, mask_of(left), mask_of(right), k, allow_right=allow_right)
+    got = (frozenset(ids_of(lm)), frozenset(ids_of(rm)))
+    assert got == want
+    if allow_right:
+        assert is_maximal_kbiplex(g, got[0], got[1], k)
+
+
+def potential_set(g, right, need_l, excluded):
+    """Left vertices outside ``excluded`` with ≥ need_l neighbours in
+    ``right``, counted with a Counter over the right adjacency lists."""
+    if need_l <= 0:
+        return frozenset(range(g.n_left)) - excluded
+    cnt: Counter[int] = Counter()
+    for u in right:
+        cnt.update(g.adj_r[u])
+    return frozenset(v for v, c in cnt.items() if c >= need_l) - excluded
+
+
+def potential_reference(g, right, k, theta_l, theta_r, p):
+    """The frozenset form of the θ-potential test, given the potential set."""
+    if len(p) < theta_l:
+        return False
+    need_r = theta_l - k
+    if need_r <= 0:
+        return len(right) >= theta_r
+    return sum(1 for u in right if len(g.adj_r[u] & p) >= need_r) >= theta_r
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_theta_potential_matches_counter_formula(data, g, k):
+    def subset(n):
+        return frozenset(data.draw(st.sets(st.integers(0, n - 1)) if n
+                                   else st.just(set())))
+
+    right, excluded = subset(g.n_right), subset(g.n_left)
+    rm, xm = mask_of(right), mask_of(excluded)
+    # Every threshold pair, so that off-by-one errors in either count show.
+    for theta_r in range(min(g.n_right, 12) + 2):
+        p_all = potential_set(g, right, theta_r - k, frozenset())
+        p = p_all - excluded
+        for theta_l in range(g.n_left + 2):
+            assert _potential_ok(g, rm, k, theta_l, theta_r, xm) is (
+                potential_reference(g, right, k, theta_l, theta_r, p))
+            assert _theta_potential_ok(g, rm, k, theta_l, theta_r) is (
+                potential_reference(g, right, k, theta_l, theta_r, p_all))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 2), side=st.sampled_from("LR"))
+def test_local_solutions_match_brute(data, g, k, side):
+    """EnumAlmostSat for an H that is maximal inside a few drawn vertices
+    (ids up to 69), against the subset-enumeration reference: local
+    solutions only involve G[H ∪ v]."""
+    def few(n):
+        return data.draw(st.sets(st.integers(0, n - 1), max_size=4)) if n else set()
+
+    s_l, s_r = few(g.n_left), few(g.n_right)
+    items = data.draw(st.permutations(
+        [(True, v) for v in s_l] + [(False, u) for u in s_r]))
+    left, right = grow(g, frozenset(), frozenset(), k, items)
+    anchors = sorted(s_l - left if side == "L" else s_r - right)
+    if not anchors:
+        return
+    v = data.draw(st.sampled_from(anchors))
+    want = enum_almost_sat_brute(g, (left, right), v, k, side=side)
+    got = [(tuple(sorted(a)), tuple(sorted(b)))
+           for a, b in enum_almost_sat(g, (left, right), v, k, side=side)]
+    assert len(got) == len(set(got))
+    assert set(got) == want

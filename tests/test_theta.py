@@ -86,3 +86,12 @@ def test_every_large_mbp_survives_core_peeling():
     for lk, rk in large(all_maximal_kbiplexes(g, k), theta, theta):
         assert set(lk) <= core_l
         assert set(rk) <= core_r
+
+
+@pytest.mark.parametrize(
+    "theta", [-1, (1,), (2, 2, 2), "a", "ab", (None, 1), (1, -2), 1.5, True]
+)
+def test_bad_theta_rejected(theta):
+    g = random_bipartite_gnp(n_left=4, n_right=4, p=0.5, seed=0)
+    with pytest.raises(ValueError, match="theta"):
+        list(itraversal(g, 1, theta=theta))
