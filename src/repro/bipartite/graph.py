@@ -74,14 +74,17 @@ def ids_of(mask: int) -> Iterable[int]:
                     bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
-def at_least(masks: Iterable[int], t: int) -> int:
+def at_least(masks: Iterable[int], t: int, over: list[int] | None = None) -> int:
     """Bits set in at least ``t`` (≥ 1) of ``masks``.
 
     Saturating bit-sliced counters: ``over[j]`` holds the bits seen in more
     than j masks so far, so the cost is O(t) mask operations per mask, with
-    no loop over the bits themselves.
+    no loop over the bits themselves. Passing ``over`` (``t`` counters, from
+    ``[0] * t`` or an earlier call) resumes the count from it, in place:
+    the caller keeps the counters of masks it counts again and again.
     """
-    over = [0] * t
+    if over is None:
+        over = [0] * t
     for m in masks:
         for j in range(t - 1, 0, -1):
             over[j] |= over[j - 1] & m

@@ -120,6 +120,59 @@ def _has_right_extension(
     return bool(cand & ~at_least([cand & ~ax for ax in adj], k + 1))
 
 
+class _AnchorPotential:
+    """θ-potential state of one left anchor, shared by its local solutions.
+
+    Every local solution (L', R') of an anchor v of H = (L, R) has
+    R' = R_keep ∪ R'' with R_keep = R ∩ Γ(v) and R'' ⊆ R \\ Γ(v),
+    |R''| ≤ k (Lemma 4.1). So `at_least`'s counters are built once over
+    the neighbour masks of ``keep`` (R_keep), and each local solution adds
+    its at most ``slack`` (k) masks to a copy of them. The same counters
+    bound every local solution at once (`_potential_bound`); when the bound
+    fails the anchor is ``dead`` and each of its local solutions fails the
+    check without a count. `_potential_ok` builds the state on its first
+    call with it; the state holds for one (k, θ_L, θ_R, excluded) only.
+    """
+
+    __slots__ = ("keep", "slack", "adj", "over", "dead")
+
+    def __init__(self, keep: int, slack: int) -> None:
+        self.keep, self.slack = keep, slack
+        self.adj: list[int] | None = None  # neighbour masks of ``keep``
+        self.over: list[int] = []  # at_least counters over ``adj``
+        self.dead = False
+
+
+def _potential_bound(
+    g: BipartiteGraph,
+    adj: list[int],
+    over: list[int],
+    k: int,
+    theta_l: int,
+    theta_r: int,
+    excluded: int,
+    slack: int,
+) -> bool:
+    """The θ-potential test, for every right side R' = R ∪ R'' with
+    |R''| ≤ ``slack`` at once; ``adj`` holds the neighbour masks of R and
+    ``over`` the `at_least` counters over them (θ_R − k of them).
+
+    P(R') lies inside P_up = {x : δ(x, R) ≥ θ_R − k − slack}, since R''
+    adds at most ``slack`` neighbours to any x; and R'' holds at most
+    ``slack`` of the right vertices with θ_L − k neighbours in P(R'). With
+    slack 0 the bound is the test itself.
+    """
+    need_l = theta_r - k - slack
+    p = over[need_l - 1] if need_l > 0 else (1 << g.n_left) - 1
+    p &= ~excluded
+    if p.bit_count() < theta_l:
+        return False
+    need_r = theta_l - k
+    if need_r <= 0:
+        return len(adj) + slack >= theta_r
+    return sum(1 for a in adj if (a & p).bit_count() >= need_r) + slack >= theta_r
+
+
 def _potential_ok(
     g: BipartiteGraph,
     right: int,
@@ -127,6 +180,7 @@ def _potential_ok(
     theta_l: int,
     theta_r: int,
     excluded: int,
+    anchor: _AnchorPotential | None = None,
 ) -> bool:
     """Can any MBP with sides ≥ (θ_L, θ_R) and no vertex of ``excluded``
     have its right side inside ``right``? (Both masks.)
@@ -136,27 +190,60 @@ def _potential_ok(
     |R''| − k ≥ θ_R − k, so L'' lies inside the potential set P; and
     every u ∈ R'' has δ(u, L'') ≥ θ_L − k with L'' ⊆ P. P is counted on
     the right side's neighbour masks (`at_least`), not by a scan of 𝓛.
+
+    ``anchor`` is the state ``right`` shares with the other local
+    solutions of its anchor; without one, ``right`` is its own base with
+    no vertex outside it.
     """
+    if anchor is None:
+        anchor = _AnchorPotential(right, 0)
     bits_r = g.bits_r
-    adj = [bits_r[u] for u in ids_of(right)]
-    need_l = theta_r - k
-    p = at_least(adj, need_l) if need_l > 0 else (1 << g.n_left) - 1
-    p &= ~excluded
-    if p.bit_count() < theta_l:
+    if anchor.adj is None:
+        anchor.adj = [bits_r[u] for u in ids_of(anchor.keep)]
+        if theta_r > k:
+            anchor.over = [0] * (theta_r - k)
+            at_least(anchor.adj, theta_r - k, anchor.over)
+        anchor.dead = not _potential_bound(
+            g, anchor.adj, anchor.over, k, theta_l, theta_r, excluded, anchor.slack
+        )
+    if anchor.dead:
         return False
-    need_r = theta_l - k
-    if need_r <= 0:
-        return len(adj) >= theta_r
-    return sum(1 for a in adj if (a & p).bit_count() >= need_r) >= theta_r
+    if not anchor.slack:  # ``right`` is the base: the bound was exact
+        return True
+    adj, over = anchor.adj, anchor.over
+    extra = [bits_r[u] for u in ids_of(right & ~anchor.keep)]
+    if extra:
+        over = over[:]  # the anchor's own counters serve its other solutions
+        if over:
+            at_least(extra, len(over), over)
+        adj = adj + extra
+    return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded, 0)
 
 
 def _theta_potential_ok(
-    g: BipartiteGraph, right: int, k: int, theta_l: int, theta_r: int
+    g: BipartiteGraph,
+    right: int,
+    k: int,
+    theta_l: int,
+    theta_r: int,
+    anchor: _AnchorPotential | None = None,
 ) -> bool:
     """`_potential_ok` for one local solution's right side. A global of its
-    own so that tracing times this use apart from `traverse`'s
-    expandability test."""
-    return _potential_ok(g, right, k, theta_l, theta_r, 0)
+    own so that tracing times this use, and the build of ``anchor``'s
+    state on its first call, apart from `traverse`'s expandability test."""
+    return _potential_ok(g, right, k, theta_l, theta_r, 0, anchor)
+
+
+def _is_int(t) -> bool:
+    return isinstance(t, Integral) and not isinstance(t, bool)
+
+
+def _normalize_k(k: int) -> int:
+    """``k`` as an int ≥ 1; anything else (a bool, a float, a str, None,
+    k < 1) is a ValueError rather than a wrong or half-run enumeration."""
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+    return int(k)
 
 
 def _normalize_theta(
@@ -165,13 +252,9 @@ def _normalize_theta(
     """``theta`` as a (θ_L, θ_R) pair of non-negative ints, or None."""
     if theta is None:
         return None
-
-    def is_int(t) -> bool:
-        return isinstance(t, Integral) and not isinstance(t, bool)
-
-    pair = (theta, theta) if is_int(theta) else theta
+    pair = (theta, theta) if _is_int(theta) else theta
     if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(is_int(t) and t >= 0 for t in pair)):
+            and all(_is_int(t) and t >= 0 for t in pair)):
         raise ValueError(
             "theta must be a non-negative int or a (theta_l, theta_r) pair "
             f"of them, got {theta!r}"
@@ -203,6 +286,7 @@ class SuccessorStep:
     local_enum: str = "l2r2"
 
     def __post_init__(self) -> None:
+        self.k = _normalize_k(self.k)
         g, k = self.g, self.k
         if self.local_enum == "inflation":
             def local(left, right, v, side, r_min):
@@ -252,11 +336,15 @@ class SuccessorStep:
                         continue
                 banned = excl | processed
                 child_excl = banned if exclusion else excl
+                # θ mode anchors only on the left (right-shrinking), so
+                # R_keep = R ∩ Γ(v) is the base of every local solution.
+                anchor = (_AnchorPotential(bits_l[v] & right, k)
+                          if theta is not None else None)
                 st.almost_sat_calls += 1
                 for loc_l, loc_r in local(left, right, v, side, theta_r):
                     st.local_solutions += 1
                     if theta is not None and not _theta_potential_ok(
-                        g, loc_r, k, theta_l, theta_r
+                        g, loc_r, k, theta_l, theta_r, anchor
                     ):
                         # Under right-shrinking the extension keeps the
                         # local solution's right side, so the potential
@@ -313,8 +401,6 @@ def traverse(
     enumeration between yields can be long, so the cutoff must live
     inside the engine, not in the consumer).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if exclusion not in (None, "candidate", "link"):
         raise ValueError(f"unknown exclusion mode {exclusion!r}")
     if right_shrinking and not left_anchored:
@@ -332,6 +418,7 @@ def traverse(
         local_enum=local_enum,
     )
 
+    k = successors.k
     h0 = initial_solution_left(g, k) if left_anchored else initial_solution_any(g, k)
 
     def emit(sol: Solution) -> bool:

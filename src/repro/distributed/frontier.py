@@ -29,7 +29,7 @@ from pyspark.sql import functions as F
 
 from ..bipartite.graph import BipartiteGraph, Solution, mask_of
 from ..core.extend import initial_solution_left
-from ..core.itraversal import SuccessorStep, _normalize_theta
+from ..core.itraversal import SuccessorStep, _normalize_k, _normalize_theta
 
 SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
 
@@ -67,7 +67,7 @@ def frontier_enumerate(
     apply (solutions whose right side fell below θ_R are neither emitted
     nor expanded).
     """
-    th = _normalize_theta(theta)
+    k, th = _normalize_k(k), _normalize_theta(theta)
     sc = spark.sparkContext
     bc = sc.broadcast((g.adj_l, g.adj_r, g.n_left, g.n_right, k, th))
 

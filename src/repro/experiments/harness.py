@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import signal
 import time
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -112,15 +111,6 @@ def measure_delay(make_gen: Callable[[], Iterator], budget_s: float) -> dict:
         "observed_max_gap": max(gaps),
         "count": len(stamps),
     }
-
-
-@dataclass
-class TableSpec:
-    """A reproduced table: id, caption, and the paper's headline claim."""
-
-    table_id: str
-    paper_artifact: str
-    claim: str
 
 
 def fmt_cell(value) -> str:

@@ -19,9 +19,10 @@ from repro.bipartite.predicates import (
     is_kbiplex,
     is_maximal_kbiplex,
 )
-from repro.core.almost_sat import enum_almost_sat, enum_almost_sat_brute
+from repro.core.almost_sat import enum_almost_sat, enum_almost_sat_brute, enum_local
 from repro.core.extend import extend_masks
 from repro.core.itraversal import (
+    _AnchorPotential,
     _has_right_extension,
     _potential_ok,
     _theta_potential_ok,
@@ -141,25 +142,69 @@ def test_theta_potential_matches_counter_formula(data, g, k):
                 potential_reference(g, right, k, theta_l, theta_r, p_all))
 
 
+@st.composite
+def anchored(draw, g, k, side, max_size, min_size=0):
+    """An H that is maximal inside a few drawn vertices (ids up to 69),
+    and an anchor v of the given side that cannot join H; None when there
+    is no such v. Local solutions only involve G[H ∪ v]."""
+    def few(n):
+        return draw(st.sets(st.integers(0, n - 1), min_size=min(min_size, n),
+                            max_size=max_size)) if n else set()
+
+    s_l, s_r = few(g.n_left), few(g.n_right)
+    items = draw(st.permutations(
+        [(True, v) for v in s_l] + [(False, u) for u in s_r]))
+    left, right = grow(g, frozenset(), frozenset(), k, items)
+    if side == "L":
+        anchors = [v for v in range(g.n_left)
+                   if v not in left and not can_add_left(g, (left, right), v, k)]
+    else:
+        anchors = [u for u in range(g.n_right)
+                   if u not in right and not can_add_right(g, (left, right), u, k)]
+    if not anchors:
+        return None
+    return (left, right), draw(st.sampled_from(anchors))
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), g=graphs(), k=st.integers(1, 2), side=st.sampled_from("LR"))
 def test_local_solutions_match_brute(data, g, k, side):
-    """EnumAlmostSat for an H that is maximal inside a few drawn vertices
-    (ids up to 69), against the subset-enumeration reference: local
-    solutions only involve G[H ∪ v]."""
-    def few(n):
-        return data.draw(st.sets(st.integers(0, n - 1), max_size=4)) if n else set()
-
-    s_l, s_r = few(g.n_left), few(g.n_right)
-    items = data.draw(st.permutations(
-        [(True, v) for v in s_l] + [(False, u) for u in s_r]))
-    left, right = grow(g, frozenset(), frozenset(), k, items)
-    anchors = sorted(s_l - left if side == "L" else s_r - right)
-    if not anchors:
+    """EnumAlmostSat against the subset-enumeration reference."""
+    drawn = data.draw(anchored(g, k, side, 4))
+    if drawn is None:
         return
-    v = data.draw(st.sampled_from(anchors))
-    want = enum_almost_sat_brute(g, (left, right), v, k, side=side)
+    h, v = drawn
+    want = enum_almost_sat_brute(g, h, v, k, side=side)
     got = [(tuple(sorted(a)), tuple(sorted(b)))
-           for a, b in enum_almost_sat(g, (left, right), v, k, side=side)]
+           for a, b in enum_almost_sat(g, h, v, k, side=side)]
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_anchor_state_matches_standalone(data, g, k):
+    """The θ-potential state one left anchor shares across its local
+    solutions gives, for every threshold pair, exactly the standalone
+    check; and a dead anchor has no local solution that passes it."""
+    drawn = data.draw(anchored(g, k, "L", 12, min_size=4))
+    if drawn is None:
+        return
+    (left, right), v = drawn
+    keep = mask_of(right) & g.bits_l[v]
+    rights = [r for _, r in enum_local(g, mask_of(left), mask_of(right), v, k)]
+    for r in rights:
+        # Lemma 4.1, which the shared state and the dead bound rest on.
+        assert r & keep == keep
+        assert (r & ~keep).bit_count() <= k
+    for theta_r in range(len(right) + k + 2):
+        for theta_l in range(min(g.n_left, 12) + 2):
+            want = [_theta_potential_ok(g, r, k, theta_l, theta_r) for r in rights]
+            # In both orders: one local solution must not leak into the next.
+            for order in (1, -1):
+                anchor = _AnchorPotential(keep, k)
+                got = [_theta_potential_ok(g, r, k, theta_l, theta_r, anchor)
+                       for r in rights[::order]]
+                assert all(a is b for a, b in zip(got, want[::order]))
+                if anchor.dead:
+                    assert not any(want)
