@@ -128,7 +128,7 @@ def test_bench_table8_fraud_detector(benchmark):
         n_camouflage=50, n_heavy_users=10, n_popular_products=15,
         n_heavy_reviews=60, seed=2,
     )
-    flagged = benchmark.pedantic(
+    flagged, _ = benchmark.pedantic(
         lambda: detect_kbiplex(sc, 1, 3, 4, budget_s=20), rounds=3, iterations=1
     )
     assert len(flagged & sc.fake_items) >= 0.5 * len(sc.fake_items)

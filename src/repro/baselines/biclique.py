@@ -13,6 +13,7 @@ Both sides of an emitted biclique are non-empty.
 """
 from __future__ import annotations
 
+import time
 from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
@@ -30,9 +31,14 @@ def _closure(g: BipartiteGraph, left: frozenset[int]) -> frozenset[int]:
 
 
 def maximal_bicliques(
-    g: BipartiteGraph, *, min_left: int = 1, min_right: int = 1
+    g: BipartiteGraph,
+    *,
+    min_left: int = 1,
+    min_right: int = 1,
+    deadline: float | None = None,
 ) -> Iterator[Solution]:
-    """Enumerate maximal bicliques with |L| ≥ min_left, |R| ≥ min_right."""
+    """Enumerate maximal bicliques with |L| ≥ min_left, |R| ≥ min_right;
+    stop once ``time.monotonic()`` passes ``deadline``."""
     if min_left < 1 or min_right < 1:
         raise ValueError("thresholds must be >= 1 (bicliques are non-empty)")
 
@@ -40,6 +46,8 @@ def maximal_bicliques(
         if len(right) >= min_right:
             yield (left, right)
         for u in range(start, g.n_right):
+            if deadline is not None and time.monotonic() > deadline:
+                return
             if u in right:
                 continue
             left2 = frozenset(v for v in left if u in g.adj_l[v])

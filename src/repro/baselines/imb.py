@@ -18,6 +18,7 @@ exactly a maximal k-biplex.
 """
 from __future__ import annotations
 
+import time
 from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
@@ -30,9 +31,11 @@ def imb(
     *,
     theta_l: int = 0,
     theta_r: int = 0,
+    deadline: float | None = None,
 ) -> Iterator[Solution]:
     """Lazily enumerate maximal k-biplexes (optionally only those with
-    |L| ≥ theta_l and |R| ≥ theta_r), each exactly once.
+    |L| ≥ theta_l and |R| ≥ theta_r), each exactly once; stop once
+    ``time.monotonic()`` passes ``deadline``.
 
     Iterative DFS over states ``(solution, candidate queue, excluded)``.
     Candidates are (side, id) pairs in ascending order, left side first.
@@ -60,6 +63,8 @@ def imb(
         (empty, root_cand, set())
     ]
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            return
         sol, cand, excl = stack[-1]
         if theta_l or theta_r:
             # iMB's size pruning: the solution can never reach the

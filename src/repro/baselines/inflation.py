@@ -36,16 +36,20 @@ def faplexen(
     k: int,
     *,
     max_inflated_edges: int | None = None,
+    deadline: float | None = None,
 ) -> Iterator[Solution]:
-    """Lazily enumerate maximal k-biplexes through the inflated graph."""
+    """Lazily enumerate maximal k-biplexes through the inflated graph;
+    stops once ``time.monotonic()`` passes ``deadline``."""
     if max_inflated_edges is not None:
         n = inflated_edge_count(g)
         if n > max_inflated_edges:
             raise InflationBudgetExceeded(
                 f"inflated graph has {n} edges > budget {max_inflated_edges}"
             )
-    adj = inflate(g.n_left, g.n_right, g.adj_l)
-    for plex in enum_maximal_kplexes(adj, k + 1):
+    adj = inflate(g.n_left, g.n_right, g.adj_l, deadline)
+    if adj is None:
+        return
+    for plex in enum_maximal_kplexes(adj, k + 1, deadline=deadline):
         left = frozenset(i for i in plex if i < g.n_left)
         right = frozenset(i - g.n_left for i in plex if i >= g.n_left)
         yield (left, right)

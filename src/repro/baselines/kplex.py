@@ -22,6 +22,7 @@ least |S| - k neighbours in S.
 """
 from __future__ import annotations
 
+import time
 from typing import Iterator
 
 
@@ -40,12 +41,15 @@ def enum_maximal_kplexes(
     k: int,
     *,
     require: int | None = None,
+    deadline: float | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Lazily enumerate maximal k-plexes, each exactly once.
 
     ``require``: only k-plexes containing this vertex (still maximal with
     respect to the *whole* graph). Used to seed `EnumAlmostSat`'s "local
     solutions involving v".
+    ``deadline``: ``time.monotonic()`` timestamp after which the
+    enumeration stops.
 
     Iterative DFS (explicit stack) so deep searches cannot overflow the
     Python recursion limit.
@@ -65,6 +69,8 @@ def enum_maximal_kplexes(
     # Stack entries: (S, cand list as a mutable queue, excl set).
     stack: list[tuple[set[int], list[int], set[int]]] = [start]
     while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            return
         s, cand, excl = stack[-1]
         if not cand:
             stack.pop()
@@ -84,18 +90,26 @@ def inflate(
     n_left: int,
     n_right: int,
     cross_adj_l: list[frozenset[int]],
-) -> list[frozenset[int]]:
+    deadline: float | None = None,
+) -> list[frozenset[int]] | None:
     """Graph inflation (§1): clique-connect each side, keep cross edges.
 
     Vertex ids: left vertices keep their ids, right vertex ``u`` becomes
-    ``n_left + u``. Returns adjacency sets of the inflated general graph.
-    Quadratic in side sizes by construction — exactly the blow-up that
-    makes FaPlexen OOM in the paper's Figure 7.
+    ``n_left + u``. Returns adjacency sets of the inflated general graph,
+    or None once ``time.monotonic()`` passes ``deadline``. Quadratic in
+    side sizes by construction — exactly the blow-up that makes FaPlexen
+    OOM in the paper's Figure 7.
     """
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     left_ids = frozenset(range(n_left))
     right_ids = frozenset(range(n_left, n_left + n_right))
     adj: list[frozenset[int]] = []
     for v in range(n_left):
+        if expired():
+            return None
         cross = frozenset(n_left + u for u in cross_adj_l[v])
         adj.append((left_ids - {v}) | cross)
     back: list[set[int]] = [set() for _ in range(n_right)]
@@ -103,5 +117,7 @@ def inflate(
         for u in cross_adj_l[v]:
             back[u].add(v)
     for u in range(n_right):
+        if expired():
+            return None
         adj.append((right_ids - {n_left + u}) | frozenset(back[u]))
     return adj

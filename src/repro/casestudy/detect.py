@@ -10,7 +10,10 @@ peeling for its structure (a subgraph whose every member meets the size
 thresholds survives the peel, and maximality inside the core equals
 global maximality — see `repro.distributed.partition` for the argument),
 which is what makes the sweep tractable; enumeration is additionally
-capped by ``max_solutions``/``budget_s`` like the paper's INF budget.
+capped by ``max_solutions`` and by ``budget_s``. The budget is a
+deadline set when a detector is entered and checked inside the
+enumerator; a detector that ends after it reports its cell censored
+(the paper's INF), and `DetectionResult.row` shows it as ``status``.
 """
 from __future__ import annotations
 
@@ -25,9 +28,12 @@ from ..baselines.quasi_biclique import is_delta_qb
 from ..bipartite.core_decomp import alpha_beta_core
 from ..bipartite.graph import BipartiteGraph
 from ..core.itraversal import itraversal
+from ..experiments.harness import INF
 from .attack import FraudScenario
 
 Flagged = frozenset[tuple[str, int]]
+# A detector's flagged vertices, and whether its budget cut the enumeration.
+Detection = tuple[Flagged, bool]
 
 
 @dataclass
@@ -39,6 +45,7 @@ class DetectionResult:
     precision: float | None  # None = "ND" (nothing flagged)
     recall: float
     f1: float | None
+    censored: bool = False  # the enumeration ended after its deadline
 
     def row(self) -> dict:
         fmt = lambda x: "ND" if x is None else round(x, 3)  # noqa: E731
@@ -46,6 +53,7 @@ class DetectionResult:
             "method": self.method,
             "theta_l": self.theta_l,
             "theta_r": self.theta_r,
+            "status": INF if self.censored else "ok",
             "flagged": self.n_flagged,
             "precision": fmt(self.precision),
             "recall": round(self.recall, 3),
@@ -65,12 +73,14 @@ def metrics(flagged: Flagged, fake: Flagged) -> tuple[float | None, float, float
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def _flag(subgraphs: Iterable, lids=None, rids=None) -> Flagged:
+def _flag(subgraphs: Iterable, lids, rids, deadline: float) -> Detection:
+    """Flag every vertex of ``subgraphs`` (mapped back through the id
+    maps); censored when the enumeration ended after ``deadline``."""
     out: set[tuple[str, int]] = set()
     for lp, rp in subgraphs:
-        out.update(("L", int(lids[v] if lids else v)) for v in lp)
-        out.update(("R", int(rids[u] if rids else u)) for u in rp)
-    return frozenset(out)
+        out.update(("L", int(lids[v])) for v in lp)
+        out.update(("R", int(rids[u])) for u in rp)
+    return frozenset(out), time.monotonic() > deadline
 
 
 def _core_subgraph(g: BipartiteGraph, alpha: int, beta: int):
@@ -96,14 +106,6 @@ def _core_subgraph(g: BipartiteGraph, alpha: int, beta: int):
     return sub2, [lids[v] for v in lorder], [rids[u] for u in rorder]
 
 
-def _budgeted(it, max_solutions: int, budget_s: float):
-    t0 = time.monotonic()
-    for sol in islice(it, max_solutions):
-        yield sol
-        if time.monotonic() - t0 > budget_s:
-            return
-
-
 def detect_kbiplex(
     scenario: FraudScenario,
     k: int,
@@ -112,22 +114,14 @@ def detect_kbiplex(
     *,
     max_solutions: int = 5000,
     budget_s: float = 60.0,
-) -> Flagged:
+) -> Detection:
     """Flag vertices in maximal k-biplexes with |L| ≥ θ_L, |R| ≥ θ_R."""
+    deadline = time.monotonic() + budget_s
     sub, lids, rids = _core_subgraph(
         scenario.graph, max(theta_r - k, 1), max(theta_l - k, 1)
     )
-    # The deadline lives inside the engine: gaps between yields can be
-    # long, so a consumer-side check alone would not bound the cell.
-    sols = _budgeted(
-        itraversal(
-            sub, k, theta=(theta_l, theta_r),
-            deadline=time.monotonic() + budget_s,
-        ),
-        max_solutions,
-        budget_s,
-    )
-    return _flag(sols, lids, rids)
+    sols = itraversal(sub, k, theta=(theta_l, theta_r), deadline=deadline)
+    return _flag(islice(sols, max_solutions), lids, rids, deadline)
 
 
 def detect_biclique(
@@ -137,14 +131,13 @@ def detect_biclique(
     *,
     max_solutions: int = 5000,
     budget_s: float = 60.0,
-) -> Flagged:
+) -> Detection:
+    deadline = time.monotonic() + budget_s
     sub, lids, rids = _core_subgraph(scenario.graph, theta_r, theta_l)
-    sols = _budgeted(
-        maximal_bicliques(sub, min_left=theta_l, min_right=theta_r),
-        max_solutions,
-        budget_s,
+    sols = maximal_bicliques(
+        sub, min_left=theta_l, min_right=theta_r, deadline=deadline
     )
-    return _flag(sols, lids, rids)
+    return _flag(islice(sols, max_solutions), lids, rids, deadline)
 
 
 def detect_core(scenario: FraudScenario, alpha: int, beta: int) -> Flagged:
@@ -161,7 +154,7 @@ def detect_quasi_biclique(
     *,
     max_solutions: int = 5000,
     budget_s: float = 60.0,
-) -> Flagged:
+) -> Detection:
     """δ-QB detector via the paper's own correspondence (§6.3): a δ-QB
     with both sides around θ is a ⌈θδ⌉-biplex, so enumerate maximal
     k'-biplexes with k' = max(1, ⌊δ·max(θ_L, θ_R)⌋) and keep those that
@@ -177,25 +170,17 @@ def detect_quasi_biclique(
             scenario, theta_l, theta_r,
             max_solutions=max_solutions, budget_s=budget_s,
         )
+    deadline = time.monotonic() + budget_s
     k = math.floor(delta * max(theta_l, theta_r))
     sub, lids, rids = _core_subgraph(
         scenario.graph,
         max(math.ceil((1 - delta) * theta_r), 1),
         max(math.ceil((1 - delta) * theta_l), 1),
     )
-    sols = (
-        sol
-        for sol in _budgeted(
-            itraversal(
-                sub, k, theta=(theta_l, theta_r),
-                deadline=time.monotonic() + budget_s,
-            ),
-            max_solutions,
-            budget_s,
-        )
-        if is_delta_qb(sub, sol[0], sol[1], delta)
-    )
-    return _flag(sols, lids, rids)
+    sols = itraversal(sub, k, theta=(theta_l, theta_r), deadline=deadline)
+    qbs = (sol for sol in islice(sols, max_solutions)
+           if is_delta_qb(sub, sol[0], sol[1], delta))
+    return _flag(qbs, lids, rids, deadline)
 
 
 def evaluate(
@@ -204,9 +189,11 @@ def evaluate(
     flagged: Flagged,
     theta_l: int,
     theta_r: int,
+    censored: bool = False,
 ) -> DetectionResult:
     p, r, f1 = metrics(flagged, scenario.fake_items)
-    return DetectionResult(method, theta_l, theta_r, len(flagged), p, r, f1)
+    return DetectionResult(method, theta_l, theta_r, len(flagged), p, r, f1,
+                           censored)
 
 
 def run_case_study(
@@ -220,55 +207,18 @@ def run_case_study(
     budget_s: float = 60.0,
 ) -> list[DetectionResult]:
     """The full Fig 13 sweep. Returns one DetectionResult per cell."""
+    cap = {"max_solutions": max_solutions, "budget_s": budget_s}
     out: list[DetectionResult] = []
     for tr in theta_r_values:
-        out.append(
-            evaluate(
-                scenario,
-                "biclique",
-                detect_biclique(
-                    scenario, theta_l, tr,
-                    max_solutions=max_solutions, budget_s=budget_s,
-                ),
-                theta_l,
-                tr,
-            )
-        )
-        for k in ks:
-            out.append(
-                evaluate(
-                    scenario,
-                    f"{k}-biplex",
-                    detect_kbiplex(
-                        scenario, k, theta_l, tr,
-                        max_solutions=max_solutions, budget_s=budget_s,
-                    ),
-                    theta_l,
-                    tr,
-                )
-            )
-        out.append(
-            evaluate(
-                scenario,
-                "(a,b)-core",
-                detect_core(scenario, alpha=tr, beta=theta_l),
-                theta_l,
-                tr,
-            )
-        )
-        for d in deltas:
-            out.append(
-                evaluate(
-                    scenario,
-                    f"{d}-QB",
-                    detect_quasi_biclique(
-                        scenario, d, theta_l, tr,
-                        max_solutions=max_solutions, budget_s=budget_s,
-                    ),
-                    theta_l,
-                    tr,
-                )
-            )
+        cells = [("biclique", detect_biclique(scenario, theta_l, tr, **cap))]
+        cells += [(f"{k}-biplex", detect_kbiplex(scenario, k, theta_l, tr, **cap))
+                  for k in ks]
+        cells.append(("(a,b)-core",
+                      (detect_core(scenario, alpha=tr, beta=theta_l), False)))
+        cells += [(f"{d}-QB", detect_quasi_biclique(scenario, d, theta_l, tr, **cap))
+                  for d in deltas]
+        out += [evaluate(scenario, method, flagged, theta_l, tr, censored)
+                for method, (flagged, censored) in cells]
     return out
 
 

@@ -232,14 +232,22 @@ def enum_almost_sat(
 
 
 def enum_almost_sat_inflation(
-    g: BipartiteGraph, sol: Solution, v: int, k: int, *, side: str = "L"
+    g: BipartiteGraph,
+    sol: Solution,
+    v: int,
+    k: int,
+    *,
+    side: str = "L",
+    deadline: float | None = None,
 ) -> Iterator[Solution]:
     """Inflation-based EnumAlmostSat (bTraversal's implementation, §6).
 
     Build the inflated general graph of the almost-satisfying graph and
     enumerate maximal (k+1)-plexes containing v; each corresponds 1:1 to
     a local solution (a k-biplex on the bipartite graph is a (k+1)-plex
-    on the inflation and vice versa).
+    on the inflation and vice versa). Stops once ``time.monotonic()``
+    passes ``deadline``: the inflation of a large almost-satisfying graph
+    alone can outlast a budget.
     """
     left, right = sol
     if side == "L":
@@ -257,9 +265,11 @@ def enum_almost_sat_inflation(
     cross = [
         frozenset(r_pos[u] for u in g.adj_l[x] if u in r_pos) for x in lv
     ]
-    adj = inflate(len(lv), len(rv), cross)
+    adj = inflate(len(lv), len(rv), cross, deadline)
+    if adj is None:
+        return
     seed = l_pos[v] if anchor_left else len(lv) + r_pos[v]
-    for plex in enum_maximal_kplexes(adj, k + 1, require=seed):
+    for plex in enum_maximal_kplexes(adj, k + 1, require=seed, deadline=deadline):
         lp = frozenset(lv[i] for i in plex if i < len(lv))
         rp = frozenset(rv[i - len(lv)] for i in plex if i >= len(lv))
         yield (lp, rp)

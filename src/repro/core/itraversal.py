@@ -274,6 +274,9 @@ class SuccessorStep:
     becomes frozensets. The local DFS (`traverse`) and the frontier BFS
     (`repro.distributed.frontier`) share it; the defaults are the
     frontier's configuration, iTraversal without exclusion.
+    ``deadline`` reaches only the inflation local enumeration, the one
+    local step that can outlast a budget on its own; once it passes, every
+    remaining anchor's inflation returns at once.
     """
 
     g: BipartiteGraph
@@ -284,14 +287,19 @@ class SuccessorStep:
     exclusion: str | None = None
     theta: tuple[int, int] | None = None
     local_enum: str = "l2r2"
+    deadline: float | None = None
 
     def __post_init__(self) -> None:
         self.k = _normalize_k(self.k)
-        g, k = self.g, self.k
+        g, k, deadline = self.g, self.k, self.deadline
         if self.local_enum == "inflation":
             def local(left, right, v, side, r_min):
+                if deadline is not None and time.monotonic() > deadline:
+                    return
                 sol = masks_to_solution(left, right)
-                for a, b in enum_almost_sat_inflation(g, sol, v, k, side=side):
+                for a, b in enum_almost_sat_inflation(
+                    g, sol, v, k, side=side, deadline=deadline
+                ):
                     yield mask_of(a), mask_of(b)
         else:
             try:
@@ -397,9 +405,11 @@ def traverse(
     ``exclusion``: None, 'candidate', or 'link' (see module docstring).
     ``theta``: only emit MBPs with both sides ≥ theta, with §5 prunings.
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
-    stops early (the reproduction's analog of the paper's INF budget —
+    stops (the reproduction's analog of the paper's INF budget —
     enumeration between yields can be long, so the cutoff must live
-    inside the engine, not in the consumer).
+    inside the engine, not in the consumer). The stop is silent; the
+    caller reads censoring off its own clock: a run that ends after its
+    deadline is censored.
     """
     if exclusion not in (None, "candidate", "link"):
         raise ValueError(f"unknown exclusion mode {exclusion!r}")
@@ -415,7 +425,7 @@ def traverse(
     successors = SuccessorStep(
         g, k, stats=st, left_anchored=left_anchored,
         right_shrinking=right_shrinking, exclusion=exclusion, theta=theta,
-        local_enum=local_enum,
+        local_enum=local_enum, deadline=deadline,
     )
 
     k = successors.k
@@ -512,6 +522,7 @@ def btraversal(
     local_enum: str = "inflation",
     stats: TraversalStats | None = None,
     alternate_output: bool = True,
+    deadline: float | None = None,
 ) -> Iterator[Solution]:
     """bTraversal (Algorithm 1).
 
@@ -528,6 +539,7 @@ def btraversal(
         local_enum=local_enum,
         alternate_output=alternate_output,
         stats=stats,
+        deadline=deadline,
     )
 
 

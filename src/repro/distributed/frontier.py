@@ -65,7 +65,8 @@ def frontier_enumerate(
 
     With ``theta`` set, only large MBPs are returned and the §5 prunings
     apply (solutions whose right side fell below θ_R are neither emitted
-    nor expanded).
+    nor expanded). A RuntimeError is raised when the frontier is still
+    non-empty after ``max_rounds`` expansion rounds.
     """
     k, th = _normalize_k(k), _normalize_theta(theta)
     sc = spark.sparkContext
@@ -91,9 +92,11 @@ def frontier_enumerate(
     )
     visited = seed.localCheckpoint(eager=True)
     frontier = visited
-    for _ in range(max_rounds):
-        if frontier.isEmpty():
-            break
+    rounds = 0
+    while not frontier.isEmpty():
+        if rounds == max_rounds:
+            raise RuntimeError(f"frontier BFS did not drain in {max_rounds} rounds")
+        rounds += 1
         candidates = frontier.mapInPandas(expand, schema=SOLUTION_SCHEMA)
         new = (
             candidates.dropDuplicates(["key"])
@@ -102,8 +105,6 @@ def frontier_enumerate(
         )
         visited = visited.unionByName(new).localCheckpoint(eager=True)
         frontier = new
-    else:
-        raise RuntimeError(f"frontier BFS did not drain in {max_rounds} rounds")
 
     if th is not None:
         visited = visited.where(

@@ -25,6 +25,8 @@ Exactness (asserted by tests against brute force / local iTraversal):
 """
 from __future__ import annotations
 
+import time
+
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -41,8 +43,15 @@ def enumerate_large_mbps_partitioned(
     g: BipartiteGraph,
     k: int,
     theta: int | tuple[int, int],
+    *,
+    deadline: float | None = None,
 ) -> DataFrame:
-    """Large MBPs of ``g`` as a DataFrame (key, l, r), component-parallel."""
+    """Large MBPs of ``g`` as a DataFrame (key, l, r), component-parallel.
+
+    ``deadline``, a ``time.monotonic()`` timestamp of the driver, stops
+    every component's enumeration once it passes. Monotonic clocks are
+    per host, so it travels to the executors as wall-clock time.
+    """
     th = _normalize_theta(theta)
     theta_l, theta_r = th
     if theta_r < 2 * k + 1 or theta_l < k + 1:
@@ -55,6 +64,9 @@ def enumerate_large_mbps_partitioned(
     if core.isEmpty():
         return spark.createDataFrame([], SOLUTION_SCHEMA)
     labeled = connected_components_edges(core)
+    wall_deadline = (
+        None if deadline is None else time.time() + deadline - time.monotonic()
+    )
 
     def enumerate_component(pdf: pd.DataFrame) -> pd.DataFrame:
         lids = sorted(pdf["src"].unique())
@@ -66,8 +78,12 @@ def enumerate_large_mbps_partitioned(
             n_left=len(lids),
             n_right=len(rids),
         )
+        local_deadline = (
+            None if wall_deadline is None
+            else time.monotonic() + wall_deadline - time.time()
+        )
         rows = []
-        for lp, rp in itraversal(sub, k, theta=th):
+        for lp, rp in itraversal(sub, k, theta=th, deadline=local_deadline):
             rows.append(
                 solution_row(
                     (

@@ -3,8 +3,14 @@
 The paper's evaluation semantics that this module reproduces:
 
 * INF — a run is censored at a wall-clock budget (paper: 24 h; here a
-  per-cell budget in seconds). `run_with_timeout` enforces it with
-  SIGALRM so even an enumerator stuck *between* outputs is interrupted.
+  per-cell budget in seconds). One clock rule decides it: a run is INF
+  when it ends after the ``time.monotonic()`` deadline its caller set.
+  The deadline is cooperative: `consume` hands it to the generator
+  factory, whose enumerator checks it in its own loops and stops. No
+  signal interrupts a run, so this works on any thread and beside
+  py4j. `consume` itself stops once the clock passes the deadline, so
+  a factory that ignores it gets the same label as soon as it yields
+  again or ends.
 * OUT — a run exceeds the memory budget (paper: 32 GB); reproduced by
   `InflationBudgetExceeded` guards inside the algorithms.
 * delay — the maximum of (start → first output), (gaps between
@@ -12,104 +18,83 @@ The paper's evaluation semantics that this module reproduces:
 """
 from __future__ import annotations
 
-import signal
 import time
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
+
+from ..baselines.inflation import InflationBudgetExceeded
 
 INF = "INF"
 OUT = "OUT"
 
+# A generator factory: called with the run's deadline, a
+# ``time.monotonic()`` timestamp, and returns the enumeration to consume.
+Factory = Callable[[float], Iterator]
 
-class Timeout(Exception):
-    pass
+
+@dataclass
+class Run:
+    """One budgeted consumption of a generator."""
+
+    status: str             # "ok" | INF | OUT
+    count: int              # outputs consumed before the deadline
+    seconds: float | None   # start → end of the run; None unless "ok"
+    max_gap: float          # longest of start → first output, between
+                            # outputs, last output → end
 
 
-def run_with_timeout(fn: Callable[[], object], seconds: float):
-    """Run ``fn`` under a SIGALRM deadline; (result, elapsed) or raises
-    Timeout. Main-thread only (fine: jobs, tests and benches are)."""
+def consume(make_gen: Factory, budget_s: float, n: int | None = None) -> Run:
+    """Consume up to ``n`` outputs (all when None) of
+    ``make_gen(deadline)`` with ``deadline = start + budget_s``.
 
-    def _handler(signum, frame):
-        raise Timeout()
-
-    old = signal.signal(signal.SIGALRM, _handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    t0 = time.monotonic()
+    Outputs that arrive after the deadline are not counted; the run ends
+    at the first of them, and is INF if it ends after the deadline.
+    """
+    t0 = last = time.monotonic()
+    deadline = t0 + budget_s
+    count, max_gap, status = 0, 0.0, "ok"
     try:
-        result = fn()
-        return result, time.monotonic() - t0
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
+        for _ in islice(make_gen(deadline), n):
+            now = time.monotonic()
+            if now > deadline:
+                break
+            count, max_gap, last = count + 1, max(max_gap, now - last), now
+    except InflationBudgetExceeded:
+        status = OUT
+    t_end = time.monotonic()
+    if status == "ok" and t_end > deadline:
+        status = INF
+    seconds = t_end - t0 if status == "ok" else None
+    return Run(status, count, seconds, max(max_gap, t_end - last))
 
 
-def time_first_n(
-    make_gen: Callable[[], Iterator], n: int, budget_s: float
-) -> dict:
+def time_first_n(make_gen: Factory, n: int | None, budget_s: float) -> dict:
     """Time producing the first ``n`` solutions (the paper's standard
     runtime measurement, after [4]).
 
     Returns {'status': 'ok'|'INF'|'OUT', 'seconds': float|None, 'count'}.
     """
-    count = 0
-
-    def consume():
-        nonlocal count
-        for _ in islice(make_gen(), n):
-            count += 1
-
-    from ..baselines.inflation import InflationBudgetExceeded
-
-    try:
-        _, elapsed = run_with_timeout(consume, budget_s)
-        return {"status": "ok", "seconds": elapsed, "count": count}
-    except Timeout:
-        return {"status": INF, "seconds": None, "count": count}
-    except InflationBudgetExceeded:
-        return {"status": OUT, "seconds": None, "count": count}
+    run = consume(make_gen, budget_s, n)
+    return {"status": run.status, "seconds": run.seconds, "count": run.count}
 
 
-def measure_delay(make_gen: Callable[[], Iterator], budget_s: float) -> dict:
+def measure_delay(make_gen: Factory, budget_s: float) -> dict:
     """Max delay over a full enumeration (§3.5 definition).
 
-    Returns {'status', 'max_delay', 'mean_delay', 'count'}; INF when the
-    enumeration does not finish within the budget.
+    Returns {'status', 'max_delay', 'mean_delay', 'observed_max_gap',
+    'count'}; INF when the enumeration does not finish within the budget.
+    A censored run's ``observed_max_gap`` is still a valid lower bound on
+    the delay (it includes the unfinished stall up to the cutoff).
     """
-    stamps: list[float] = []
-    t0 = time.monotonic()
-
-    def consume():
-        for _ in make_gen():
-            stamps.append(time.monotonic())
-
-    from ..baselines.inflation import InflationBudgetExceeded
-
-    try:
-        run_with_timeout(consume, budget_s)
-    except Timeout:
-        # Censored — but the max gap observed *so far* is still a valid
-        # lower bound on the delay (including the unfinished stall from
-        # the last output to the budget cutoff), and the count gives the
-        # rate.
-        bounds = [t0, *stamps, time.monotonic()]
-        observed = max(b - a for a, b in zip(bounds, bounds[1:]))
-        return {"status": INF, "max_delay": None, "mean_delay": None,
-                "observed_max_gap": observed, "count": len(stamps)}
-    except InflationBudgetExceeded:
-        return {"status": OUT, "max_delay": None, "mean_delay": None,
-                "observed_max_gap": None, "count": len(stamps)}
-    t_end = time.monotonic()
-    if not stamps:
-        return {"status": "ok", "max_delay": t_end - t0, "mean_delay": t_end - t0,
-                "observed_max_gap": t_end - t0, "count": 0}
-    bounds = [t0, *stamps, t_end]
-    gaps = [b - a for a, b in zip(bounds, bounds[1:])]
+    run = consume(make_gen, budget_s)
+    ok = run.status == "ok"
     return {
-        "status": "ok",
-        "max_delay": max(gaps),
-        "mean_delay": sum(gaps) / len(gaps),
-        "observed_max_gap": max(gaps),
-        "count": len(stamps),
+        "status": run.status,
+        "max_delay": run.max_gap if ok else None,
+        "mean_delay": run.seconds / (run.count + 1) if ok else None,
+        "observed_max_gap": run.max_gap if run.status != OUT else None,
+        "count": run.count,
     }
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Sequence
 
 from ..baselines.imb import imb
 from ..baselines.inflation import faplexen, inflated_edge_count
@@ -20,7 +21,7 @@ from ..bipartite.graph import BipartiteGraph
 from ..core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
 from ..core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
 from . import datasets
-from .harness import INF, measure_delay, run_with_timeout, time_first_n, Timeout
+from .harness import Factory, consume, measure_delay, time_first_n
 
 # Default memory budget for FaPlexen's inflation step, in edges. 32 GB at
 # ~12 bytes/edge (the paper's OUT budget) would be ~2.7e9; scaled to this
@@ -29,16 +30,16 @@ from .harness import INF, measure_delay, run_with_timeout, time_first_n, Timeout
 FAPLEXEN_EDGE_BUDGET = 20_000_000
 
 
-def algorithms(
-    g: BipartiteGraph, k: int
-) -> dict[str, Callable[[], Iterator]]:
-    """Generator factories for the four compared algorithms (§6.1)."""
+def algorithms(g: BipartiteGraph, k: int) -> dict[str, Factory]:
+    """Generator factories for the four compared algorithms (§6.1); each
+    takes the run's deadline."""
     return {
-        "iTraversal": lambda: itraversal(g, k),
-        "bTraversal": lambda: btraversal(g, k),  # inflation-based local enum
-        "iMB": lambda: imb(g, k),
-        "FaPlexen": lambda: faplexen(
-            g, k, max_inflated_edges=FAPLEXEN_EDGE_BUDGET
+        "iTraversal": lambda d: itraversal(g, k, deadline=d),
+        # inflation-based local enum
+        "bTraversal": lambda d: btraversal(g, k, deadline=d),
+        "iMB": lambda d: imb(g, k, deadline=d),
+        "FaPlexen": lambda d: faplexen(
+            g, k, max_inflated_edges=FAPLEXEN_EDGE_BUDGET, deadline=d
         ),
     }
 
@@ -192,53 +193,33 @@ def table5_large_mbps(
         for theta in thetas:
             core_l, core_r = theta_k_core(g, theta, k)
             sub, _, _ = g.induced(core_l, core_r)
-            algos: list[tuple[str, Callable]] = [
-                ("iTraversal-theta", lambda: itraversal(sub, k, theta=theta)),
-                (
-                    "iMB-theta",
-                    lambda: imb(sub, k, theta_l=theta, theta_r=theta),
-                ),
+            algos: list[tuple[str, Factory]] = [
+                ("iTraversal-theta",
+                 lambda d: itraversal(sub, k, theta=theta, deadline=d)),
+                ("iMB-theta",
+                 lambda d: imb(sub, k, theta_l=theta, theta_r=theta, deadline=d)),
             ]
             if spark is not None and theta >= 2 * k + 1:
                 from ..distributed.partition import (
                     enumerate_large_mbps_partitioned,
                 )
 
-                def spark_factory():
-                    df = enumerate_large_mbps_partitioned(spark, g, k, theta)
-                    return iter(df.collect())
-
-                algos.append(("iTraversal-theta-spark", spark_factory))
+                algos.append(("iTraversal-theta-spark", lambda d: iter(
+                    enumerate_large_mbps_partitioned(
+                        spark, g, k, theta, deadline=d
+                    ).collect()
+                )))
             for algo, factory in algos:
-                count = 0
-
-                def consume():
-                    nonlocal count
-                    for _ in factory():
-                        count += 1
-
-                try:
-                    if algo.endswith("spark"):
-                        # SIGALRM would poison the py4j bridge mid-collect;
-                        # the distributed run is bounded by the core size,
-                        # so time it plainly.
-                        t0 = time.monotonic()
-                        consume()
-                        status, seconds = "ok", time.monotonic() - t0
-                    else:
-                        _, elapsed = run_with_timeout(consume, budget_s)
-                        status, seconds = "ok", elapsed
-                except Timeout:
-                    status, seconds = INF, None
+                run = consume(factory, budget_s)
                 rows.append(
                     {
                         "dataset": name,
                         "theta": theta,
                         "core_size": f"{sub.n_left}x{sub.n_right}",
                         "algorithm": algo,
-                        "status": status,
-                        "seconds": seconds,
-                        "large_mbps": count,
+                        "status": run.status,
+                        "seconds": run.seconds,
+                        "large_mbps": run.count,
                     }
                 )
     return rows
@@ -260,25 +241,19 @@ def table6_solution_graph(
         for k in ks:
             for variant, make in VARIANTS.items():
                 stats = TraversalStats()
-
-                def consume():
-                    for _ in make(g, k, local_enum="l2r2", stats=stats):
-                        pass
-
-                try:
-                    _, elapsed = run_with_timeout(consume, budget_s)
-                    status, seconds = "ok", elapsed
-                except Timeout:
-                    status, seconds = INF, None
+                run = consume(
+                    lambda d: make(g, k, local_enum="l2r2", stats=stats, deadline=d),
+                    budget_s,
+                )
                 rows.append(
                     {
                         "dataset": name,
                         "k": k,
                         "variant": variant,
-                        "status": status,
+                        "status": run.status,
                         "links": stats.links,
                         "solutions": stats.solutions,
-                        "seconds": seconds,
+                        "seconds": run.seconds,
                     }
                 )
     return rows
@@ -299,34 +274,30 @@ def table7_enum_almost_sat(
     MBPs found by iTraversal, add one random outside left vertex)."""
     g = datasets.load(dataset_name)
     rng = random.Random(seed)
+    # Each variant maps (sol, v, k, deadline) to its local solutions; only
+    # Inflation can stall long enough to need the deadline.
     variants: dict[str, Callable] = {
-        "L1.0+R1.0": lambda sol, v, k: enum_almost_sat(
+        "L1.0+R1.0": lambda sol, v, k, d: enum_almost_sat(
             g, sol, v, k, l2=False, r2=False
         ),
-        "L1.0+R2.0": lambda sol, v, k: enum_almost_sat(
+        "L1.0+R2.0": lambda sol, v, k, d: enum_almost_sat(
             g, sol, v, k, l2=False, r2=True
         ),
-        "L2.0+R1.0": lambda sol, v, k: enum_almost_sat(
+        "L2.0+R1.0": lambda sol, v, k, d: enum_almost_sat(
             g, sol, v, k, l2=True, r2=False
         ),
-        "L2.0+R2.0": lambda sol, v, k: enum_almost_sat(
+        "L2.0+R2.0": lambda sol, v, k, d: enum_almost_sat(
             g, sol, v, k, l2=True, r2=True
         ),
-        "Inflation": lambda sol, v, k: enum_almost_sat_inflation(g, sol, v, k),
+        "Inflation": lambda sol, v, k, d: enum_almost_sat_inflation(
+            g, sol, v, k, deadline=d
+        ),
     }
     rows = []
     for k in ks:
-        mbps = []
-
-        def collect():
-            from itertools import islice
-
-            mbps.extend(islice(itraversal(g, k), n_seed_mbps))
-
-        try:
-            run_with_timeout(collect, budget_s)
-        except Timeout:
-            pass
+        mbps = list(islice(
+            itraversal(g, k, deadline=time.monotonic() + budget_s), n_seed_mbps
+        ))
         instances = []
         for sol in mbps:
             outside = [v for v in range(g.n_left) if v not in sol[0]]
@@ -335,30 +306,23 @@ def table7_enum_almost_sat(
             if len(instances) >= n_instances:
                 break
         for variant, fn in variants.items():
-            n_local = 0
-
-            def consume():
-                nonlocal n_local
-                for sol, v in instances:
-                    n_local += sum(1 for _ in fn(sol, v, k))
-
-            try:
-                _, elapsed = run_with_timeout(consume, budget_s)
-                status, mean_ms = "ok", 1000 * elapsed / max(len(instances), 1)
-            except Timeout:
-                # The Inflation variant can blow up combinatorially on
-                # dense almost-satisfying graphs — the very effect Fig 12
-                # reports; censor it like the paper's INF.
-                status, mean_ms = INF, None
+            # The Inflation variant can blow up combinatorially on dense
+            # almost-satisfying graphs — the very effect Fig 12 reports;
+            # the budget censors it like the paper's INF.
+            run = consume(
+                lambda d: (loc for sol, v in instances for loc in fn(sol, v, k, d)),
+                budget_s,
+            )
             rows.append(
                 {
                     "dataset": dataset_name,
                     "k": k,
                     "variant": variant,
-                    "status": status,
+                    "status": run.status,
                     "instances": len(instances),
-                    "mean_ms": mean_ms,
-                    "local_solutions": n_local,
+                    "mean_ms": None if run.seconds is None
+                    else 1000 * run.seconds / max(len(instances), 1),
+                    "local_solutions": run.count,
                 }
             )
     return rows

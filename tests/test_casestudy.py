@@ -90,14 +90,14 @@ def test_detect_core_flags_block(scenario):
 
 
 def test_detect_kbiplex_finds_block(scenario):
-    flagged = detect_kbiplex(scenario, 1, 3, 4, budget_s=20)
+    flagged, _ = detect_kbiplex(scenario, 1, 3, 4, budget_s=20)
     tp = len(flagged & scenario.fake_items)
     assert tp >= 0.8 * len(scenario.fake_items)
 
 
 def test_detect_biclique_recall_collapses_with_theta(scenario):
-    low = detect_biclique(scenario, 3, 3, budget_s=20)
-    high = detect_biclique(scenario, 3, 6, budget_s=20)
+    low, _ = detect_biclique(scenario, 3, 3, budget_s=20)
+    high, _ = detect_biclique(scenario, 3, 6, budget_s=20)
     rec_low = len(low & scenario.fake_items)
     rec_high = len(high & scenario.fake_items)
     assert rec_high <= rec_low
@@ -114,8 +114,10 @@ def test_evaluate_row_shape(scenario):
     row = res.row()
     assert row["precision"] == "ND"
     assert set(row) == {
-        "method", "theta_l", "theta_r", "flagged", "precision", "recall", "f1"
+        "method", "theta_l", "theta_r", "status", "flagged", "precision",
+        "recall", "f1",
     }
+    assert row["status"] == "ok"
 
 
 def test_metrics_spark_matches_local(spark, scenario):

@@ -63,6 +63,43 @@ def test_frontier_theta(spark):
     assert collect_solutions(df) == want
 
 
+def bfs_depth(g, k):
+    """Expansion rounds the frontier BFS needs to drain, counted locally."""
+    from repro.core.extend import initial_solution_left
+
+    frontier = {solution_key(initial_solution_left(g, k))}
+    visited, rounds = set(frontier), 0
+    while frontier:
+        rounds += 1
+        succ = {solution_key(s)
+                for l, r in frontier
+                for s in rs_successors(g, k, (frozenset(l), frozenset(r)), None)}
+        frontier = succ - visited
+        visited |= frontier
+    return rounds
+
+
+def test_frontier_max_rounds_exhaustion(spark):
+    """A frontier that drains on exactly the last allowed round is a
+    complete result; one round fewer is an error, not a partial result."""
+    g = random_bipartite_gnp(n_left=6, n_right=5, p=0.5, seed=9)
+    k = 1
+    depth = bfs_depth(g, k)
+    assert depth >= 2
+    df = frontier_enumerate(spark, g, k, max_rounds=depth)
+    assert collect_solutions(df) == local_keys(itraversal(g, k))
+    with pytest.raises(RuntimeError, match="did not drain"):
+        frontier_enumerate(spark, g, k, max_rounds=depth - 1)
+
+
+def test_frontier_max_rounds_single_mbp(spark):
+    # The complete 2×2 graph has one MBP, found and drained in one round.
+    g = random_bipartite_gnp(n_left=2, n_right=2, p=1.0, seed=0)
+    assert bfs_depth(g, 1) == 1
+    df = frontier_enumerate(spark, g, 1, max_rounds=1)
+    assert collect_solutions(df) == {((0, 1), (0, 1))}
+
+
 def test_frontier_no_duplicate_keys(spark):
     g = random_bipartite_gnp(n_left=6, n_right=5, p=0.5, seed=9)
     df = frontier_enumerate(spark, g, 1)
