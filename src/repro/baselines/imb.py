@@ -22,7 +22,7 @@ import time
 from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
-from ..bipartite.predicates import can_add_left, can_add_right
+from ..bipartite.predicates import can_add_left, can_add_right, normalize_k
 
 
 def imb(
@@ -40,8 +40,7 @@ def imb(
     Iterative DFS over states ``(solution, candidate queue, excluded)``.
     Candidates are (side, id) pairs in ascending order, left side first.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = normalize_k(k)
 
     def feasible(sol: Solution, item: tuple[str, int]) -> bool:
         side, x = item

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
+from ..bipartite.predicates import normalize_k
 from .kplex import enum_maximal_kplexes, inflate
 
 
@@ -40,6 +41,7 @@ def faplexen(
 ) -> Iterator[Solution]:
     """Lazily enumerate maximal k-biplexes through the inflated graph;
     stops once ``time.monotonic()`` passes ``deadline``."""
+    k = normalize_k(k)
     if max_inflated_edges is not None:
         n = inflated_edge_count(g)
         if n > max_inflated_edges:

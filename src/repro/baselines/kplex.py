@@ -25,6 +25,8 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
+from ..bipartite.predicates import normalize_k
+
 
 def _feasible(adj: list[frozenset[int]], s: set[int], k: int, x: int) -> bool:
     """Is S ∪ {x} still a k-plex?"""
@@ -54,11 +56,10 @@ def enum_maximal_kplexes(
     Iterative DFS (explicit stack) so deep searches cannot overflow the
     Python recursion limit.
     """
+    k = normalize_k(k)
     n = len(adj)
     if n == 0:
         return
-    if k < 1:
-        raise ValueError("k-plex requires k >= 1")
     if require is not None:
         seed = {require}
         cand0 = [x for x in range(n) if x != require and _feasible(adj, seed, k, x)]

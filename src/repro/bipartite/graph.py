@@ -195,14 +195,6 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # set-algebra helpers used by the enumerators (paper §2 notation)
     # ------------------------------------------------------------------
-    def gamma_l(self, v: int, right: frozenset[int] | set[int]) -> frozenset[int]:
-        """Γ(v, R): vertices of ``right`` adjacent to left vertex v."""
-        return frozenset(self.adj_l[v] & right)
-
-    def gamma_r(self, u: int, left: frozenset[int] | set[int]) -> frozenset[int]:
-        """Γ(u, L): vertices of ``left`` adjacent to right vertex u."""
-        return frozenset(self.adj_r[u] & left)
-
     def miss_l(self, v: int, right: frozenset[int] | set[int]) -> int:
         """δ̄(v, R): number of vertices of ``right`` NOT adjacent to v."""
         return len(right) - len(self.adj_l[v] & right)

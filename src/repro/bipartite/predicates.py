@@ -1,13 +1,44 @@
-"""k-biplex predicates (paper §2).
+"""k-biplex predicates (paper §2) and the validation of k and θ.
 
-These are the *ground truth* checks: deliberately simple and used by the
-brute-force oracle and by tests to validate the optimized enumerators.
+The predicates are the *ground truth* checks: deliberately simple and
+used by the brute-force oracle and by tests to validate the optimized
+enumerators. `normalize_k` and `normalize_theta` are the one check of
+the parameters every enumerator takes.
 """
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable
 
 from .graph import BipartiteGraph, Solution
+
+
+def _is_int(t) -> bool:
+    return isinstance(t, Integral) and not isinstance(t, bool)
+
+
+def normalize_k(k: int) -> int:
+    """``k`` as an int ≥ 1; anything else (a bool, a float, a str, None,
+    k < 1) is a ValueError rather than a wrong or half-run enumeration."""
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+    return int(k)
+
+
+def normalize_theta(
+    theta: int | tuple[int, int] | None,
+) -> tuple[int, int] | None:
+    """``theta`` as a (θ_L, θ_R) pair of non-negative ints, or None."""
+    if theta is None:
+        return None
+    pair = (theta, theta) if _is_int(theta) else theta
+    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(_is_int(t) and t >= 0 for t in pair)):
+        raise ValueError(
+            "theta must be a non-negative int or a (theta_l, theta_r) pair "
+            f"of them, got {theta!r}"
+        )
+    return (int(pair[0]), int(pair[1]))
 
 
 def is_kbiplex(g: BipartiteGraph, left: Iterable[int], right: Iterable[int], k: int) -> bool:
@@ -65,3 +96,13 @@ def is_maximal_kbiplex(
         if u not in sol[1] and can_add_right(g, sol, u, k):
             return False
     return True
+
+
+def is_delta_qb(
+    g: BipartiteGraph, left: frozenset[int], right: frozenset[int], delta: float
+) -> bool:
+    """δ-quasi-biclique [30]: every v ∈ L misses ≤ δ·|R| of R and every
+    u ∈ R misses ≤ δ·|L| of L. Not hereditary, unlike the k-biplex."""
+    return all(g.miss_l(v, right) <= delta * len(right) for v in left) and all(
+        g.miss_r(u, left) <= delta * len(left) for u in right
+    )

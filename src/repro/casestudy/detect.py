@@ -24,9 +24,9 @@ from itertools import islice
 from typing import Iterable
 
 from ..baselines.biclique import maximal_bicliques
-from ..baselines.quasi_biclique import is_delta_qb
 from ..bipartite.core_decomp import alpha_beta_core
 from ..bipartite.graph import BipartiteGraph
+from ..bipartite.predicates import is_delta_qb
 from ..core.itraversal import itraversal
 from ..experiments.harness import INF
 from .attack import FraudScenario
@@ -158,9 +158,8 @@ def detect_quasi_biclique(
     """δ-QB detector via the paper's own correspondence (§6.3): a δ-QB
     with both sides around θ is a ⌈θδ⌉-biplex, so enumerate maximal
     k'-biplexes with k' = max(1, ⌊δ·max(θ_L, θ_R)⌋) and keep those that
-    satisfy the δ-QB definition. (The standalone greedy detector in
-    `repro.baselines.quasi_biclique` exists for unconstrained use; near
-    the θ thresholds the biplex route is both exact-er and faster.)
+    satisfy the δ-QB definition. (δ-QBs are not hereditary, so exact
+    maximal δ-QB enumeration is much harder (§1); this route needs none.)
 
     When δ·θ < 1 a δ-QB at threshold scale tolerates no missing edge at
     all — the structure degenerates to a biclique (the paper makes this

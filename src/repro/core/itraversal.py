@@ -10,23 +10,23 @@ One engine implements the whole family of Fig 11 (paper §3):
 
 The engine is an explicit-stack DFS over the implicit solution graph; it
 is a *generator*, so "return the first N MBPs" and delay measurement come
-for free (the paper's evaluation leans on both). The alternating
-pre-/post-order output trick of §3.5 [38] — which yields at least one
-solution every two expansions, hence polynomial delay — is implemented by
-emitting a solution before its expansion at even depth and after it at
-odd depth.
+for free (the paper's evaluation leans on both). Output always alternates
+as §3.5 [38] prescribes — a solution is emitted before its expansion at
+even depth and after it at odd depth — which yields at least one solution
+every two expansions, hence polynomial delay. Everything the engine
+decides about one solution (its successors, whether to expand it, whether
+to emit it) belongs to `SuccessorStep`; `traverse` is the DFS around it.
 
 Exclusion strategy. The paper defers the exact rule and its (non-trivial)
-correctness proof to an offline technical report, so we implement the
-Berlowitz-et-al.-style rule it cites: every solution carries an inherited
-exclusion set of left vertices; (a) anchors already in the set are
-skipped, and (b) the link to a successor is pruned when the successor
-contains an excluded vertex; a child's exclusion set is the parent's plus
-all anchors the parent finished before the child's anchor. Both (a)-only
-(``exclusion='candidate'``) and (a)+(b) (``exclusion='link'``) modes
-exist; the differential tests against brute force decide which modes stay
-complete (see tests/test_itraversal.py), and `itraversal` defaults to the
-strongest complete one.
+correctness proof to an offline technical report, so we implement one
+rule in the style of Berlowitz et al. (SIGMOD 2015), which it cites: every
+solution carries an inherited exclusion set of left vertices; (a) anchors
+already in the set are skipped, and (b) the link to a successor is pruned
+when the successor contains an excluded vertex; a child's exclusion set
+is the parent's plus all anchors the parent finished before the child's
+anchor. ``exclusion`` turns the rule on or off. Its completeness rests on
+the differential sweep against brute force in
+tests/test_exclusion_sweep.py.
 
 θ mode (§5, large MBPs): ``theta`` enables the right-side prunings
 (almost-satisfying-graph, local-solution and solution pruning) plus the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
+from functools import partial
 from typing import Callable, Iterator
 
 from ..bipartite.graph import (
@@ -53,6 +53,7 @@ from ..bipartite.graph import (
     masks_to_solution,
     solution_key,
 )
+from ..bipartite.predicates import normalize_k, normalize_theta
 from .almost_sat import enum_almost_sat_inflation
 # The per-item layers of the successor step are called through these module
 # globals, looked up at call time, so a tracer can wrap them. The mask
@@ -230,67 +231,56 @@ def _theta_potential_ok(
 ) -> bool:
     """`_potential_ok` for one local solution's right side. A global of its
     own so that tracing times this use, and the build of ``anchor``'s
-    state on its first call, apart from `traverse`'s expandability test."""
+    state on its first call, apart from `SuccessorStep.expandable`."""
     return _potential_ok(g, right, k, theta_l, theta_r, 0, anchor)
-
-
-def _is_int(t) -> bool:
-    return isinstance(t, Integral) and not isinstance(t, bool)
-
-
-def _normalize_k(k: int) -> int:
-    """``k`` as an int ≥ 1; anything else (a bool, a float, a str, None,
-    k < 1) is a ValueError rather than a wrong or half-run enumeration."""
-    if not (_is_int(k) and k >= 1):
-        raise ValueError(f"k must be an int >= 1, got {k!r}")
-    return int(k)
-
-
-def _normalize_theta(
-    theta: int | tuple[int, int] | None,
-) -> tuple[int, int] | None:
-    """``theta`` as a (θ_L, θ_R) pair of non-negative ints, or None."""
-    if theta is None:
-        return None
-    pair = (theta, theta) if _is_int(theta) else theta
-    if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(_is_int(t) and t >= 0 for t in pair)):
-        raise ValueError(
-            "theta must be a non-negative int or a (theta_l, theta_r) pair "
-            f"of them, got {theta!r}"
-        )
-    return (int(pair[0]), int(pair[1]))
 
 
 @dataclass
 class SuccessorStep:
-    """Algorithm 2 lines 5–9 for one engine configuration.
+    """One engine configuration's per-solution policy.
 
-    For every anchor of a solution H (left vertices, plus right ones for
-    bTraversal): the §4 local solutions, the θ-potential check, the §3.4
-    right-shrinking check, the exclusion test and the extension to a
-    maximal k-biplex. Called with H's sides and exclusion set as masks; it
-    yields a `Link` per surviving local solution, and only the link
-    becomes frozensets. The local DFS (`traverse`) and the frontier BFS
-    (`repro.distributed.frontier`) share it; the defaults are the
-    frontier's configuration, iTraversal without exclusion.
-    ``deadline`` reaches only the inflation local enumeration, the one
-    local step that can outlast a budget on its own; once it passes, every
-    remaining anchor's inflation returns at once.
+    The step owns everything a traversal decides about one solution H:
+    it validates k, θ and the toggles, picks the root H0 (`root`), tests
+    whether H's subtree can hold an MBP that meets θ (`expandable`) and
+    whether H itself does (`meets_theta`), and computes H's successors
+    (`__call__`, Algorithm 2 lines 5–9). The local DFS (`traverse`) and
+    the frontier BFS (`repro.distributed.frontier`) differ only in the
+    order they visit solutions.
+
+    The toggles are Fig 11's techniques; their defaults are the full
+    iTraversal, and `VARIANTS` turns them off one by one.
+    ``exclusion`` is the Berlowitz-style rule of the module docstring.
+    ``local_enum``: 'l2r2' | 'l1r2' | 'l2r1' | 'l1r1' (refined
+    EnumAlmostSat variants) or 'inflation' (bTraversal's implementation).
+    ``theta``: an int or a (θ_L, θ_R) pair; only MBPs with both sides
+    ≥ θ count, and the §5 prunings apply.
+    ``deadline``: the run's ``time.monotonic()`` budget, which `traverse`
+    checks between links. In the step it reaches only the inflation local
+    enumeration, the one local step that can outlast a budget on its own;
+    once it passes, every remaining anchor's inflation returns at once.
     """
 
     g: BipartiteGraph
     k: int
     stats: TraversalStats = field(default_factory=TraversalStats)
-    left_anchored: bool = True
-    right_shrinking: bool = True
-    exclusion: str | None = None
-    theta: tuple[int, int] | None = None
+    left_anchored: bool = True  # §3.3
+    right_shrinking: bool = True  # §3.4
+    exclusion: bool = True  # §3.5
+    theta: int | tuple[int, int] | None = None
     local_enum: str = "l2r2"
     deadline: float | None = None
 
     def __post_init__(self) -> None:
-        self.k = _normalize_k(self.k)
+        self.k = normalize_k(self.k)
+        self.theta = normalize_theta(self.theta)
+        if not isinstance(self.exclusion, bool):
+            raise ValueError(f"exclusion must be a bool, got {self.exclusion!r}")
+        if self.right_shrinking and not self.left_anchored:
+            raise ValueError("right-shrinking traversal builds on left-anchored")
+        if self.exclusion and not self.left_anchored:
+            raise ValueError("exclusion strategy is defined on left anchors only")
+        if self.theta is not None and not (self.right_shrinking and self.left_anchored):
+            raise ValueError("θ pruning requires the full iTraversal prunings")
         g, k, deadline = self.g, self.k, self.deadline
         if self.local_enum == "inflation":
             def local(left, right, v, side, r_min):
@@ -315,7 +305,41 @@ class SuccessorStep:
 
         self._local = local
 
+    def root(self) -> Solution:
+        """H0: right-full for left-anchored traversal (§3.2), else any MBP."""
+        if self.left_anchored:
+            return initial_solution_left(self.g, self.k)
+        return initial_solution_any(self.g, self.k)
+
+    def meets_theta(self, sol: Solution) -> bool:
+        """The emission filter: both sides of ``sol`` ≥ θ (True without θ)."""
+        theta = self.theta
+        return theta is None or (len(sol[0]) >= theta[0] and len(sol[1]) >= theta[1])
+
+    def expandable(self, right: int, excl: int) -> bool:
+        """Can the subtree of a solution with right side ``right`` and
+        exclusion set ``excl`` (masks) hold an MBP that meets θ? (True
+        without θ.)"""
+        if self.theta is None:
+            return True
+        theta_l, theta_r = self.theta
+        if right.bit_count() < theta_r:  # §5 right-side pruning (3)
+            return False
+        if self.exclusion and self.g.n_left - excl.bit_count() < theta_l:
+            return False  # §5 left-side pruning
+        # Potential pruning (our addition, same (θ−k)-core argument as
+        # §5/§6.1 applied *dynamically*): every large MBP (L'', R'')
+        # reachable from (L, R) has R'' ⊆ R and avoids the exclusion set,
+        # so too-small potential sets make the whole subtree fruitless.
+        return _potential_ok(self.g, right, self.k, theta_l, theta_r, excl)
+
     def __call__(self, left: int, right: int, excl: int) -> Iterator[Link]:
+        """For every anchor of H = (``left``, ``right``) with exclusion set
+        ``excl`` (left vertices, plus right ones for bTraversal): the §4
+        local solutions, the θ-potential check, the §3.4 right-shrinking
+        check, the exclusion test and the extension to a maximal k-biplex.
+        Yields a `Link` per surviving local solution; only the link
+        becomes frozensets."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
         local = self._local
@@ -367,7 +391,7 @@ class SuccessorStep:
                     ):
                         st.pruned_right_shrinking += 1
                         continue
-                    if exclusion == "link" and loc_l & banned:
+                    if exclusion and loc_l & banned:
                         # Early exit: the extension is a superset of the
                         # local solution, so the link check below would
                         # prune anyway.
@@ -376,7 +400,7 @@ class SuccessorStep:
                     ext = extend_to_maximal(
                         g, loc_l, loc_r, k, allow_right=not right_shrinking
                     )
-                    if exclusion == "link" and ext[0] & banned:
+                    if exclusion and ext[0] & banned:
                         st.pruned_exclusion += 1
                         continue
                     st.links += 1
@@ -385,25 +409,15 @@ class SuccessorStep:
                     processed |= bit
 
 
-def traverse(
-    g: BipartiteGraph,
-    k: int,
-    *,
-    left_anchored: bool = True,
-    right_shrinking: bool = True,
-    exclusion: str | None = "link",
-    theta: int | tuple[int, int] | None = None,
-    local_enum: str = "l2r2",
-    alternate_output: bool = True,
-    stats: TraversalStats | None = None,
-    deadline: float | None = None,
-) -> Iterator[Solution]:
+def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     """Lazily enumerate maximal k-biplexes by reverse search.
 
-    ``local_enum``: 'l2r2' | 'l1r2' | 'l2r1' | 'l1r1' (refined
-    EnumAlmostSat variants) or 'inflation' (bTraversal's implementation).
-    ``exclusion``: None, 'candidate', or 'link' (see module docstring).
-    ``theta``: only emit MBPs with both sides ≥ theta, with §5 prunings.
+    ``config`` sets the fields of the `SuccessorStep` that decides every
+    per-solution question (the Fig 11 toggles, ``theta``, ``local_enum``,
+    ``stats``, ``deadline``); its defaults are the full iTraversal. This
+    function is the DFS alone: the visited set, the alternating output
+    and the deadline.
+
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
     stops (the reproduction's analog of the paper's INF budget —
     enumeration between yields can be long, so the cutoff must live
@@ -411,51 +425,22 @@ def traverse(
     caller reads censoring off its own clock: a run that ends after its
     deadline is censored.
     """
-    if exclusion not in (None, "candidate", "link"):
-        raise ValueError(f"unknown exclusion mode {exclusion!r}")
-    if right_shrinking and not left_anchored:
-        raise ValueError("right-shrinking traversal builds on left-anchored")
-    if exclusion and not left_anchored:
-        raise ValueError("exclusion strategy is defined on left anchors only")
-    theta = _normalize_theta(theta)
-    if theta is not None and not (right_shrinking and left_anchored):
-        raise ValueError("θ pruning requires the full iTraversal prunings")
-    st = stats if stats is not None else TraversalStats()
-    theta_l, theta_r = theta if theta is not None else (0, 0)
-    successors = SuccessorStep(
-        g, k, stats=st, left_anchored=left_anchored,
-        right_shrinking=right_shrinking, exclusion=exclusion, theta=theta,
-        local_enum=local_enum, deadline=deadline,
-    )
-
-    k = successors.k
-    h0 = initial_solution_left(g, k) if left_anchored else initial_solution_any(g, k)
+    step = SuccessorStep(g, k, **config)
+    st, deadline = step.stats, step.deadline
+    expandable, meets_theta = step.expandable, step.meets_theta
 
     def emit(sol: Solution) -> bool:
-        if theta is not None and (len(sol[0]) < theta_l or len(sol[1]) < theta_r):
+        if not meets_theta(sol):
             return False
         st.solutions += 1
         return True
 
-    def expandable(right: int, excl: int) -> bool:
-        if theta is None:
-            return True
-        if right.bit_count() < theta_r:  # §5 right-side pruning (3)
-            return False
-        if exclusion and g.n_left - excl.bit_count() < theta_l:  # §5 left-side pruning
-            return False
-        # Potential pruning (our addition, same (θ−k)-core argument as
-        # §5/§6.1 applied *dynamically*): every large MBP (L'', R'')
-        # reachable from (L, R) has R'' ⊆ R and avoids the exclusion set,
-        # so too-small potential sets make the whole subtree fruitless.
-        return _potential_ok(g, right, k, theta_l, theta_r, excl)
-
+    h0 = step.root()
     visited: set[SolutionKey] = {solution_key(h0)}
-    root_pre = True  # depth 0 → pre-order
     stack: list[_Node] = []
     h0_left, h0_right = mask_of(h0[0]), mask_of(h0[1])
     if expandable(h0_right, 0):
-        stack.append(_Node(h0, successors(h0_left, h0_right, 0), 0, root_pre))
+        stack.append(_Node(h0, step(h0_left, h0_right, 0), 0, True))  # pre-order
     if emit(h0):
         yield h0
     while stack:
@@ -474,87 +459,42 @@ def traverse(
             continue
         visited.add(ck)
         depth = node.depth + 1
-        pre = (depth % 2 == 0) if alternate_output else True
         if expandable(child_right, child_excl):
-            # ``emitted=pre``: pre-order children are emitted now, the
-            # rest when their expansion completes (pop) — the §3.5
-            # alternating-output trick for polynomial delay.
+            # §3.5's alternating output, for polynomial delay: children
+            # at even depth are emitted now (pre-order), the rest when
+            # their expansion completes (pop).
+            pre = depth % 2 == 0
             stack.append(_Node(
-                child, successors(child_left, child_right, child_excl), depth, pre
+                child, step(child_left, child_right, child_excl), depth, pre
             ))
             if pre and emit(child):
                 yield child
-        else:
-            if emit(child):
-                yield child
+        elif emit(child):
+            yield child
 
 
-def itraversal(
-    g: BipartiteGraph,
-    k: int,
-    *,
-    theta: int | tuple[int, int] | None = None,
-    local_enum: str = "l2r2",
-    exclusion: str | None = "link",
-    stats: TraversalStats | None = None,
-    alternate_output: bool = True,
-    deadline: float | None = None,
-) -> Iterator[Solution]:
-    """Full iTraversal (Algorithm 2): LA + RS + exclusion strategy."""
-    return traverse(
-        g,
-        k,
-        left_anchored=True,
-        right_shrinking=True,
-        exclusion=exclusion,
-        theta=theta,
-        local_enum=local_enum,
-        alternate_output=alternate_output,
-        stats=stats,
-        deadline=deadline,
-    )
+VARIANTS: dict[str, Callable[..., Iterator[Solution]]] = {
+    "bTraversal": partial(
+        traverse, left_anchored=False, right_shrinking=False, exclusion=False
+    ),
+    "iTraversal-ES-RS": partial(traverse, right_shrinking=False, exclusion=False),
+    "iTraversal-ES": partial(traverse, exclusion=False),
+    "iTraversal": traverse,
+}
+"""Fig 11's four ablation rows, keyed by the paper's names: each row turns
+off one more technique of the full iTraversal (Algorithm 2: LA + RS +
+exclusion strategy), which is `SuccessorStep`'s default configuration."""
+
+itraversal = VARIANTS["iTraversal"]
 
 
 def btraversal(
-    g: BipartiteGraph,
-    k: int,
-    *,
-    local_enum: str = "inflation",
-    stats: TraversalStats | None = None,
-    alternate_output: bool = True,
-    deadline: float | None = None,
+    g: BipartiteGraph, k: int, *, local_enum: str = "inflation", **config
 ) -> Iterator[Solution]:
-    """bTraversal (Algorithm 1).
+    """bTraversal (Algorithm 1): the "bTraversal" row of `VARIANTS`.
 
     Default ``local_enum='inflation'`` matches §6's baseline ("implements
     EnumAlmostSat by first inflating the graph"); Fig 11 passes 'l2r2'
     for its fair comparison.
     """
-    return traverse(
-        g,
-        k,
-        left_anchored=False,
-        right_shrinking=False,
-        exclusion=None,
-        local_enum=local_enum,
-        alternate_output=alternate_output,
-        stats=stats,
-        deadline=deadline,
-    )
-
-
-VARIANTS: dict[str, Callable[..., Iterator[Solution]]] = {
-    "bTraversal": lambda g, k, **kw: traverse(
-        g, k, left_anchored=False, right_shrinking=False, exclusion=None, **kw
-    ),
-    "iTraversal-ES-RS": lambda g, k, **kw: traverse(
-        g, k, left_anchored=True, right_shrinking=False, exclusion=None, **kw
-    ),
-    "iTraversal-ES": lambda g, k, **kw: traverse(
-        g, k, left_anchored=True, right_shrinking=True, exclusion=None, **kw
-    ),
-    "iTraversal": lambda g, k, **kw: traverse(
-        g, k, left_anchored=True, right_shrinking=True, exclusion="link", **kw
-    ),
-}
-"""Fig 11's four ablation rows, keyed by the paper's names."""
+    return VARIANTS["bTraversal"](g, k, local_enum=local_enum, **config)

@@ -10,13 +10,15 @@ a DataFrame of newly-discovered MBPs:
             candidates --dropDuplicates / anti-join visited--> new
             visited ∪= new;  frontier = new
 
-The per-solution successor computation is the successor step of local
-iTraversal itself (`SuccessorStep`: EnumAlmostSat → θ-potential and
-right-shrinking checks → left-only extension), executed inside executors
-against a broadcast adjacency. The *exclusion strategy* is inherently
-order-dependent (it threads state along the DFS), so the distributed
-traversal omits it; the result set is identical — asserted against local
-iTraversal in the tests — only the number of traversed links differs.
+Every per-solution decision is the one local iTraversal makes
+(`SuccessorStep`: the successors — EnumAlmostSat → θ-potential and
+right-shrinking checks → left-only extension — and, with θ, whether a
+solution is worth expanding), executed inside executors against a
+broadcast adjacency; this module is the BFS alone. The *exclusion
+strategy* is inherently order-dependent (it threads state along the DFS),
+so the distributed traversal omits it; the result set is identical —
+asserted against local iTraversal in the tests — only the number of
+traversed links differs.
 
 Lineage is cut with ``localCheckpoint`` every round, the standard idiom
 for iterative dataflows.
@@ -28,8 +30,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..bipartite.graph import BipartiteGraph, Solution, mask_of
-from ..core.extend import initial_solution_left
-from ..core.itraversal import SuccessorStep, _normalize_k, _normalize_theta
+from ..core.itraversal import SuccessorStep
 
 SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
 
@@ -43,13 +44,19 @@ def solution_row(sol: Solution) -> dict:
     }
 
 
+def frontier_step(
+    g: BipartiteGraph, k: int, theta: int | tuple[int, int] | None
+) -> SuccessorStep:
+    """The frontier's successor step: iTraversal without the exclusion
+    strategy (see module docstring for why)."""
+    return SuccessorStep(g, k, exclusion=False, theta=theta)
+
+
 def rs_successors(
     g: BipartiteGraph, k: int, sol: Solution, theta: tuple[int, int] | None
 ) -> list[Solution]:
-    """Left-anchored, right-shrinking successors of one solution: the
-    successor step of `repro.core.itraversal.traverse` with
-    ``exclusion=None`` (see module docstring for why)."""
-    step = SuccessorStep(g, k, theta=theta)
+    """Left-anchored, right-shrinking successors of one solution."""
+    step = frontier_step(g, k, theta)
     return [link for link, _, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
 
 
@@ -63,32 +70,30 @@ def frontier_enumerate(
 ) -> DataFrame:
     """All maximal k-biplexes of ``g`` as a DataFrame (key, l, r).
 
-    With ``theta`` set, only large MBPs are returned and the §5 prunings
-    apply (solutions whose right side fell below θ_R are neither emitted
-    nor expanded). A RuntimeError is raised when the frontier is still
-    non-empty after ``max_rounds`` expansion rounds.
+    With ``theta`` set, only large MBPs are returned, and a solution is
+    expanded only when the step finds its subtree can hold one. A
+    RuntimeError is raised when the frontier is still non-empty after
+    ``max_rounds`` expansion rounds.
     """
-    k, th = _normalize_k(k), _normalize_theta(theta)
+    step = frontier_step(g, k, theta)  # validates k and θ before any job
     sc = spark.sparkContext
-    bc = sc.broadcast((g.adj_l, g.adj_r, g.n_left, g.n_right, k, th))
+    bc = sc.broadcast((g.adj_l, g.adj_r, g.n_left, g.n_right, step.k, step.theta))
 
     def expand(batches):
         adj_l, adj_r, n_left, n_right, kk, tt = bc.value
         gg = BipartiteGraph(n_left=n_left, n_right=n_right, adj_l=adj_l, adj_r=adj_r)
         for pdf in batches:
+            batch_step = frontier_step(gg, kk, tt)
             rows = []
             for l_arr, r_arr in zip(pdf["l"], pdf["r"]):
-                sol = (frozenset(int(x) for x in l_arr),
-                       frozenset(int(x) for x in r_arr))
-                if tt and len(sol[1]) < tt[1]:
-                    continue  # §5 solution pruning: subtree is all-small
-                for succ in rs_successors(gg, kk, sol, tt):
-                    rows.append(solution_row(succ))
+                left, right = mask_of(map(int, l_arr)), mask_of(map(int, r_arr))
+                if batch_step.expandable(right, 0):
+                    rows += [solution_row(succ)
+                             for succ, _, _ in batch_step(left, right, 0)]
             yield pd.DataFrame(rows, columns=["key", "l", "r"])
 
-    h0 = initial_solution_left(g, k)
     seed = spark.createDataFrame(
-        pd.DataFrame([solution_row(h0)]), schema=SOLUTION_SCHEMA
+        pd.DataFrame([solution_row(step.root())]), schema=SOLUTION_SCHEMA
     )
     visited = seed.localCheckpoint(eager=True)
     frontier = visited
@@ -106,10 +111,9 @@ def frontier_enumerate(
         visited = visited.unionByName(new).localCheckpoint(eager=True)
         frontier = new
 
-    if th is not None:
-        visited = visited.where(
-            (F.size("l") >= th[0]) & (F.size("r") >= th[1])
-        )
+    if step.theta is not None:
+        theta_l, theta_r = step.theta
+        visited = visited.where((F.size("l") >= theta_l) & (F.size("r") >= theta_r))
     return visited
 
 

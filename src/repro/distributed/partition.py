@@ -33,8 +33,9 @@ from pyspark.sql import DataFrame, SparkSession
 from ..bipartite.components import connected_components_edges
 from ..bipartite.core_decomp import alpha_beta_core_edges
 from ..bipartite.graph import BipartiteGraph
+from ..bipartite.predicates import normalize_k, normalize_theta
 from ..bipartite.spark_graph import edges_to_spark
-from ..core.itraversal import _normalize_theta, itraversal
+from ..core.itraversal import itraversal
 from .frontier import SOLUTION_SCHEMA, solution_row
 
 
@@ -52,7 +53,7 @@ def enumerate_large_mbps_partitioned(
     every component's enumeration once it passes. Monotonic clocks are
     per host, so it travels to the executors as wall-clock time.
     """
-    th = _normalize_theta(theta)
+    k, th = normalize_k(k), normalize_theta(theta)
     theta_l, theta_r = th
     if theta_r < 2 * k + 1 or theta_l < k + 1:
         raise ValueError(

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Callable, Sequence
 
 from ..baselines.imb import imb
-from ..baselines.inflation import faplexen, inflated_edge_count
+from ..baselines.inflation import faplexen
 from ..bipartite.core_decomp import theta_k_core
 from ..bipartite.generators import erdos_renyi_bipartite
 from ..bipartite.graph import BipartiteGraph

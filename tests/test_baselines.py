@@ -1,7 +1,5 @@
 """Differential tests for the baseline algorithms (iMB, FaPlexen, k-plex,
-biclique, δ-QB)."""
-import itertools
-
+biclique, the δ-QB predicate)."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from repro.baselines.inflation import (
     inflated_edge_count,
 )
 from repro.baselines.kplex import enum_maximal_kplexes, inflate
-from repro.baselines.quasi_biclique import find_quasi_bicliques, is_delta_qb
 from repro.bipartite.bruteforce import (
     all_maximal_bicliques,
     all_maximal_kbiplexes,
@@ -22,6 +19,7 @@ from repro.bipartite.bruteforce import (
 )
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph, solution_key
+from repro.bipartite.predicates import is_delta_qb
 
 
 def keys(it):
@@ -181,30 +179,3 @@ def test_delta_qb_predicate():
     # v0 misses 1 of 3 (needs δ ≥ 1/3); u2 misses 1 of 2 (needs δ ≥ 1/2).
     assert is_delta_qb(g, frozenset({0, 1}), frozenset({0, 1, 2}), 0.5)
     assert not is_delta_qb(g, frozenset({0, 1}), frozenset({0, 1, 2}), 0.34)
-
-
-def test_delta_qb_finds_dense_block():
-    # A planted dense 4x4 block in a sparse background.
-    edges = [(v, u) for v, u in itertools.product(range(4), range(4))]
-    edges.remove((0, 0))
-    edges += [(4, 5), (5, 6)]
-    g = BipartiteGraph.from_edges(edges, n_left=6, n_right=7)
-    found = find_quasi_bicliques(g, 0.25, theta_l=3, theta_r=3)
-    assert found, "planted block not found"
-    for lp, rp in found:
-        assert is_delta_qb(g, lp, rp, 0.25)
-        assert lp <= frozenset(range(4))
-        assert rp <= frozenset(range(4))
-
-
-def test_delta_qb_respects_thresholds():
-    g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=2)
-    for lp, rp in find_quasi_bicliques(g, 0.3, theta_l=2, theta_r=3):
-        assert len(lp) >= 2 and len(rp) >= 3
-        assert is_delta_qb(g, lp, rp, 0.3)
-
-
-def test_delta_qb_zero_delta_needs_biclique():
-    g = BipartiteGraph.from_biadjacency([[1, 1], [1, 1]])
-    found = find_quasi_bicliques(g, 0.0, theta_l=2, theta_r=2)
-    assert keys(found) == {((0, 1), (0, 1))}

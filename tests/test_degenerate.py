@@ -2,17 +2,21 @@
 
 Empty sides, graphs without edges and k ≥ |R| must enumerate exactly what
 brute force finds, in every Fig 11 row and in θ mode; a `k` that is not an
-int ≥ 1 must be a ValueError before any enumeration, in the local engine
-and in the frontier successor step alike.
+int ≥ 1 must be a ValueError before any enumeration, in the local engine,
+the baselines, the frontier successor step and both Spark enumerators
+alike.
 """
 import pytest
 
+from repro.baselines.imb import imb
+from repro.baselines.inflation import faplexen
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph, solution_key
 from repro.core.extend import initial_solution_left
 from repro.core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
 from repro.distributed.frontier import frontier_enumerate, rs_successors
+from repro.distributed.partition import enumerate_large_mbps_partitioned
 
 DEGENERATE = {
     "0x0": BipartiteGraph.from_edges([], n_left=0, n_right=0),
@@ -60,7 +64,8 @@ BAD_K = [0, -1, 1.5, 2.0, True, False, "1", None]
 @pytest.mark.parametrize("k", BAD_K, ids=repr)
 def test_bad_k_rejected(k):
     g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=0)
-    for enumerate_ in (itraversal, btraversal, VARIANTS["iTraversal-ES"]):
+    for enumerate_ in (itraversal, btraversal, VARIANTS["iTraversal-ES"], imb,
+                       faplexen):
         with pytest.raises(ValueError, match="k must be"):
             list(enumerate_(g, k))
     h0 = initial_solution_left(g, 1)
@@ -73,3 +78,10 @@ def test_bad_k_rejected_by_frontier(spark, k):
     g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=0)
     with pytest.raises(ValueError, match="k must be"):
         frontier_enumerate(spark, g, k)
+
+
+@pytest.mark.parametrize("k", BAD_K, ids=repr)
+def test_bad_k_rejected_by_partition(spark, k):
+    g = random_bipartite_gnp(n_left=6, n_right=6, p=0.5, seed=0)
+    with pytest.raises(ValueError, match="k must be"):
+        enumerate_large_mbps_partitioned(spark, g, k, 3)

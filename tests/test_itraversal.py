@@ -1,7 +1,7 @@
 """Differential tests for the reverse-search traversal engine.
 
 The decisive property: every configuration (bTraversal, each iTraversal
-ablation, every EnumAlmostSat variant, both exclusion modes) enumerates
+ablation, every EnumAlmostSat variant, with and without exclusion) enumerates
 *exactly* the set of maximal k-biplexes that brute force finds — on many
 random graphs, including hypothesis-generated ones. This is also how we
 validate the exclusion-strategy rule, whose proof lives in the paper's
@@ -28,14 +28,11 @@ def keys(it):
 
 
 CONFIGS = {
-    "bTraversal": dict(left_anchored=False, right_shrinking=False, exclusion=None),
-    "iTraversal-ES-RS": dict(left_anchored=True, right_shrinking=False, exclusion=None),
-    "iTraversal-ES": dict(left_anchored=True, right_shrinking=True, exclusion=None),
-    "iTraversal(candidate)": dict(
-        left_anchored=True, right_shrinking=True, exclusion="candidate"
-    ),
+    "bTraversal": dict(left_anchored=False, right_shrinking=False, exclusion=False),
+    "iTraversal-ES-RS": dict(left_anchored=True, right_shrinking=False, exclusion=False),
+    "iTraversal-ES": dict(left_anchored=True, right_shrinking=True, exclusion=False),
     "iTraversal(link)": dict(
-        left_anchored=True, right_shrinking=True, exclusion="link"
+        left_anchored=True, right_shrinking=True, exclusion=True
     ),
 }
 
@@ -70,13 +67,6 @@ def test_no_duplicates():
     g = random_bipartite_gnp(n_left=6, n_right=5, p=0.5, seed=2)
     out = [solution_key(s) for s in itraversal(g, 1)]
     assert len(out) == len(set(out))
-
-
-def test_alternating_output_same_set():
-    g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=4)
-    a = keys(itraversal(g, 1, alternate_output=True))
-    b = keys(itraversal(g, 1, alternate_output=False))
-    assert a == b
 
 
 def test_lazy_first_n():
@@ -124,16 +114,18 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         list(traverse(g, 1, left_anchored=False, right_shrinking=True))
     with pytest.raises(ValueError):
-        list(traverse(g, 1, left_anchored=False, exclusion="link",
+        list(traverse(g, 1, left_anchored=False, exclusion=True,
                       right_shrinking=False))
     with pytest.raises(ValueError):
         list(traverse(g, 1, exclusion="bogus"))
+    with pytest.raises(ValueError):
+        list(traverse(g, 1, exclusion="candidate"))
     with pytest.raises(ValueError):
         list(traverse(g, 1, local_enum="l3r9"))
     with pytest.raises(ValueError):
         list(
             traverse(g, 1, theta=2, right_shrinking=False, left_anchored=True,
-                     exclusion=None)
+                     exclusion=False)
         )
 
 
@@ -162,8 +154,7 @@ def test_hypothesis_itraversal_complete(bits, k):
     g = BipartiteGraph.from_biadjacency(rows)
     want = all_maximal_kbiplexes(g, k)
     assert keys(itraversal(g, k)) == want
-    assert keys(itraversal(g, k, exclusion="candidate")) == want
-    assert keys(itraversal(g, k, exclusion=None)) == want
+    assert keys(itraversal(g, k, exclusion=False)) == want
 
 
 @settings(max_examples=25, deadline=None)

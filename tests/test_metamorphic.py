@@ -6,7 +6,12 @@ vertices maps the MBP set onto itself. Each run's `TraversalStats`
 must also count exactly the solutions it emitted. The graphs have 12–20
 vertices per side; dense ones keep k = 2 at tens of MBPs, and the sparse
 one (thousands of MBPs at k = 2) runs at k = 1 only.
+
+θ mode must equal full enumeration filtered by size, on every graph at
+k ∈ {1, 2}. On the dense graphs every MBP meets these θ, so they check
+that the prunings lose nothing; the sparse one also checks the filter.
 """
+import functools
 import random
 
 import pytest
@@ -25,10 +30,10 @@ GRAPHS = {
 CASES = [(spec, k) for spec, ks in GRAPHS.items() for k in ks]
 
 
-def mbps(variant, g, k):
+def mbps(variant, g, k, **kw):
     """The MBP set of one run, checked against the run's solution count."""
     st = TraversalStats()
-    out = [solution_key(s) for s in VARIANTS[variant](g, k, stats=st)]
+    out = [solution_key(s) for s in VARIANTS[variant](g, k, stats=st, **kw)]
     assert st.solutions == len(out)
     assert len(set(out)) == len(out)
     return set(out)
@@ -65,3 +70,17 @@ def test_relabelling_maps_mbps_onto_themselves(variant, spec, k):
         for l, r in mbps(variant, g, k)
     }
     assert mbps(variant, h, k) == want
+
+
+@functools.cache
+def full_mbps(spec, k):
+    return mbps("iTraversal", graph(spec), k)
+
+
+@pytest.mark.parametrize("theta", [2, 3, (2, 4), (4, 2)], ids=repr)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("spec", list(GRAPHS))
+def test_theta_equals_filtered_full_enumeration(spec, k, theta):
+    t_l, t_r = (theta, theta) if isinstance(theta, int) else theta
+    want = {(l, r) for l, r in full_mbps(spec, k) if len(l) >= t_l and len(r) >= t_r}
+    assert mbps("iTraversal", graph(spec), k, theta=theta) == want
