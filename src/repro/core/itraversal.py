@@ -34,6 +34,16 @@ exclusion-based left-side pruning, and filters emissions to MBPs with
 both sides ≥ θ. ``theta`` may be a single int (the paper's symmetric
 constraint) or a ``(theta_l, theta_r)`` pair (the "easily customized"
 asymmetric variant of §5, which the Fig 13 case study needs).
+
+Local-solution memo. The same local solution (L', R') turns up under many
+parents, and with right-shrinking its two costly questions depend on the
+pair alone. The RS check asks whether some u ∈ 𝓡 \\ R can join (L', R');
+since R \\ R' holds only vertices that local maximality already ruled out,
+that is "is (L', R') right-maximal in G?", whatever H it came from. The
+left-only extension is a function of the pair too. So each right-shrinking
+`SuccessorStep` keeps one `_LocalMemo` of these outcomes, keyed on the
+masks, in two generations of a fixed size; a repeat counts every counter
+a first visit would, so output and `TraversalStats` do not change.
 """
 from __future__ import annotations
 
@@ -119,6 +129,45 @@ def _has_right_extension(
             if not cand:
                 return False
     return bool(cand & ~at_least([cand & ~ax for ax in adj], k + 1))
+
+
+# Entries per generation of `_LocalMemo`.
+_MEMO_GENERATION = 4096
+
+
+class _LocalMemo:
+    """The parent-independent outcome of each local solution (L', R') a
+    right-shrinking step has seen: False (RS-pruned), True (passes the RS
+    check; extension not computed yet) or the masks of its left-only
+    extension. The key is the pair's masks packed into one int,
+    L' << |𝓡| | R', which takes about a third of the memory of a tuple.
+
+    Two generations bound the memory: when ``young`` holds
+    `_MEMO_GENERATION` entries it becomes ``old`` and a new ``young``
+    starts; a hit in ``old`` moves back to ``young``. Repeats are local in
+    the traversal, so the few that fall out of both only cost a recount.
+    """
+
+    __slots__ = ("young", "old")
+
+    def __init__(self) -> None:
+        self.young: dict[int, bool | MaskPair] = {}
+        self.old: dict[int, bool | MaskPair] = {}
+
+    def get(self, key: int) -> bool | MaskPair | None:
+        out = self.young.get(key)
+        if out is None:
+            out = self.old.get(key)
+            if out is not None:
+                self.put(key, out)
+        return out
+
+    def put(self, key: int, out: bool | MaskPair) -> None:
+        young = self.young
+        if len(young) >= _MEMO_GENERATION and key not in young:
+            self.old = young
+            self.young = young = {}
+        young[key] = out
 
 
 class _AnchorPotential:
@@ -304,6 +353,7 @@ class SuccessorStep:
                 )
 
         self._local = local
+        self._memo = _LocalMemo()
 
     def root(self) -> Solution:
         """H0: right-full for left-anchored traversal (§3.2), else any MBP."""
@@ -342,11 +392,11 @@ class SuccessorStep:
         becomes frozensets."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
-        local = self._local
-        bits_l = g.bits_l
+        local, memo = self._local, self._memo
+        bits_l, n_right = g.bits_l, g.n_right
         theta_l, theta_r = theta if theta is not None else (0, 0)
         st.expansions += 1
-        free_right = ((1 << g.n_right) - 1) & ~right
+        free_right = ((1 << n_right) - 1) & ~right
         outside_right = free_right if right_shrinking else 0
         if self.left_anchored:
             free_right = 0  # no right anchors
@@ -386,20 +436,35 @@ class SuccessorStep:
                         # large, so no emission is lost.
                         st.pruned_theta_potential += 1
                         continue
-                    if right_shrinking and _has_right_extension(
-                        g, loc_l, loc_r, k, outside_right
-                    ):
-                        st.pruned_right_shrinking += 1
-                        continue
+                    if right_shrinking:
+                        # The RS verdict and the left-only extension depend
+                        # on (L', R') alone (module docstring), so a repeat
+                        # reuses them. ``ext`` holds a `_LocalMemo` value
+                        # until the extension is known.
+                        key = loc_l << n_right | loc_r
+                        ext = memo.get(key)
+                        if ext is None:
+                            ext = not _has_right_extension(
+                                g, loc_l, loc_r, k, outside_right
+                            )
+                            memo.put(key, ext)
+                        if ext is False:
+                            st.pruned_right_shrinking += 1
+                            continue
+                    else:
+                        ext = True
                     if exclusion and loc_l & banned:
                         # Early exit: the extension is a superset of the
                         # local solution, so the link check below would
                         # prune anyway.
                         st.pruned_exclusion += 1
                         continue
-                    ext = extend_to_maximal(
-                        g, loc_l, loc_r, k, allow_right=not right_shrinking
-                    )
+                    if ext is True:
+                        ext = extend_to_maximal(
+                            g, loc_l, loc_r, k, allow_right=not right_shrinking
+                        )
+                        if right_shrinking:
+                            memo.put(key, ext)
                     if exclusion and ext[0] & banned:
                         st.pruned_exclusion += 1
                         continue

@@ -12,9 +12,9 @@ a DataFrame of newly-discovered MBPs:
 
 Every per-solution decision is the one local iTraversal makes
 (`SuccessorStep`: the successors — EnumAlmostSat → θ-potential and
-right-shrinking checks → left-only extension — and, with θ, whether a
-solution is worth expanding), executed inside executors against a
-broadcast adjacency; this module is the BFS alone. The *exclusion
+right-shrinking checks → left-only extension — and, with θ, whether H0
+is worth expanding), executed inside executors against a broadcast
+adjacency; this module is the BFS alone. The *exclusion
 strategy* is inherently order-dependent (it threads state along the DFS),
 so the distributed traversal omits it; the result set is identical —
 asserted against local iTraversal in the tests — only the number of
@@ -52,14 +52,6 @@ def frontier_step(
     return SuccessorStep(g, k, exclusion=False, theta=theta)
 
 
-def rs_successors(
-    g: BipartiteGraph, k: int, sol: Solution, theta: tuple[int, int] | None
-) -> list[Solution]:
-    """Left-anchored, right-shrinking successors of one solution."""
-    step = frontier_step(g, k, theta)
-    return [link for link, _, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
-
-
 def frontier_enumerate(
     spark: SparkSession,
     g: BipartiteGraph,
@@ -70,9 +62,11 @@ def frontier_enumerate(
 ) -> DataFrame:
     """All maximal k-biplexes of ``g`` as a DataFrame (key, l, r).
 
-    With ``theta`` set, only large MBPs are returned, and a solution is
-    expanded only when the step finds its subtree can hold one. A
-    RuntimeError is raised when the frontier is still non-empty after
+    With ``theta`` set, only large MBPs are returned, and the BFS starts
+    only when the step finds H0's subtree can hold one. Without exclusion
+    that one test suffices: a successor's right side is its local
+    solution's, which already passed the same potential test in the step.
+    A RuntimeError is raised when the frontier is still non-empty after
     ``max_rounds`` expansion rounds.
     """
     step = frontier_step(g, k, theta)  # validates k and θ before any job
@@ -87,16 +81,16 @@ def frontier_enumerate(
             rows = []
             for l_arr, r_arr in zip(pdf["l"], pdf["r"]):
                 left, right = mask_of(map(int, l_arr)), mask_of(map(int, r_arr))
-                if batch_step.expandable(right, 0):
-                    rows += [solution_row(succ)
-                             for succ, _, _ in batch_step(left, right, 0)]
+                rows += [solution_row(succ)
+                         for succ, _, _ in batch_step(left, right, 0)]
             yield pd.DataFrame(rows, columns=["key", "l", "r"])
 
+    h0 = step.root()
     seed = spark.createDataFrame(
-        pd.DataFrame([solution_row(step.root())]), schema=SOLUTION_SCHEMA
+        pd.DataFrame([solution_row(h0)]), schema=SOLUTION_SCHEMA
     )
     visited = seed.localCheckpoint(eager=True)
-    frontier = visited
+    frontier = visited if step.expandable(mask_of(h0[1]), 0) else visited.limit(0)
     rounds = 0
     while not frontier.isEmpty():
         if rounds == max_rounds:

@@ -13,9 +13,8 @@ from repro.baselines.inflation import faplexen
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph, solution_key
-from repro.core.extend import initial_solution_left
 from repro.core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
-from repro.distributed.frontier import frontier_enumerate, rs_successors
+from repro.distributed.frontier import frontier_enumerate, frontier_step
 from repro.distributed.partition import enumerate_large_mbps_partitioned
 
 DEGENERATE = {
@@ -68,9 +67,8 @@ def test_bad_k_rejected(k):
                        faplexen):
         with pytest.raises(ValueError, match="k must be"):
             list(enumerate_(g, k))
-    h0 = initial_solution_left(g, 1)
     with pytest.raises(ValueError, match="k must be"):
-        rs_successors(g, k, h0, None)
+        frontier_step(g, k, None)
 
 
 @pytest.mark.parametrize("k", BAD_K, ids=repr)

@@ -3,12 +3,12 @@ import pytest
 
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
-from repro.bipartite.graph import solution_key
+from repro.bipartite.graph import mask_of, solution_key
 from repro.core.itraversal import itraversal
 from repro.distributed.frontier import (
     collect_solutions,
     frontier_enumerate,
-    rs_successors,
+    frontier_step,
     solution_row,
 )
 from repro.distributed.partition import enumerate_large_mbps_partitioned
@@ -18,12 +18,18 @@ def local_keys(it):
     return {solution_key(s) for s in it}
 
 
+def successors(g, k, sol):
+    """The frontier's successors of one solution, without θ."""
+    step = frontier_step(g, k, None)
+    return [succ for succ, _, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
+
+
 def test_solution_row_canonical():
     row = solution_row((frozenset({2, 0}), frozenset({1})))
     assert row == {"key": "0,2|1", "l": [0, 2], "r": [1]}
 
 
-def test_rs_successors_match_engine_links():
+def test_frontier_successors_are_right_shrinking_mbps():
     # Successors from H0 must all be maximal k-biplexes.
     from repro.bipartite.predicates import is_maximal_kbiplex
     from repro.core.extend import initial_solution_left
@@ -31,7 +37,7 @@ def test_rs_successors_match_engine_links():
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=3)
     k = 1
     h0 = initial_solution_left(g, k)
-    for lp, rp in rs_successors(g, k, h0, None):
+    for lp, rp in successors(g, k, h0):
         assert is_maximal_kbiplex(g, lp, rp, k)
         assert rp <= h0[1]  # right-shrinking
 
@@ -87,7 +93,7 @@ def bfs_depth(g, k):
         rounds += 1
         succ = {solution_key(s)
                 for l, r in frontier
-                for s in rs_successors(g, k, (frozenset(l), frozenset(r)), None)}
+                for s in successors(g, k, (l, r))}
         frontier = succ - visited
         visited |= frontier
     return rounds

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.itraversal as itr
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph, solution_key
@@ -21,6 +22,8 @@ from repro.core.itraversal import (
     itraversal,
     traverse,
 )
+
+from .test_golden import LOCAL_ENUMS, RANDOM_GRAPHS
 
 
 def keys(it):
@@ -105,6 +108,44 @@ def test_stats_populated():
     assert st_.links >= n - 1  # a DFS tree alone has n-1 links
     d = st_.as_dict()
     assert d["solutions"] == n
+
+
+def right_shrinking_runs(local_enum):
+    """Emitted sequence and stats of the two variants with right-shrinking
+    (the ones whose step keeps a local-solution memo) on the golden graphs."""
+    out = []
+    for spec in RANDOM_GRAPHS:
+        g = random_bipartite_gnp(**spec)
+        for k in (1, 2):
+            for name in ("iTraversal-ES", "iTraversal"):
+                st_ = TraversalStats()
+                seq = [solution_key(s) for s in VARIANTS[name](
+                    g, k, local_enum=local_enum, stats=st_)]
+                out.append((seq, st_.as_dict()))
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("local_enum", LOCAL_ENUMS)
+def test_memo_generation_size_changes_nothing(monkeypatch, local_enum, size):
+    """The step's local-solution memo rotates its generations every
+    ``size`` stores: the sequence and every counter stay those of the
+    default size, and a smaller memo only answers fewer repeats."""
+    calls = [0]
+    rs_check = itr._has_right_extension
+
+    def counted(*args):
+        calls[0] += 1
+        return rs_check(*args)
+
+    monkeypatch.setattr(itr, "_has_right_extension", counted)
+    want = right_shrinking_runs(local_enum)
+    default_calls, calls[0] = calls[0], 0
+    monkeypatch.setattr(itr, "_MEMO_GENERATION", size)
+    assert right_shrinking_runs(local_enum) == want
+    # Without θ every local solution reaches the RS check.
+    checked = sum(st_["local_solutions"] for _, st_ in want)
+    assert default_calls < calls[0] <= checked
 
 
 def test_invalid_configs_rejected():

@@ -81,6 +81,29 @@ def test_rs_check_matches_can_add_right(data, g, k):
     assert got is want
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 2))
+def test_rs_check_depends_on_local_solution_only(data, g, k):
+    """The premise of the step's local-solution memo. For a maximal H =
+    (L, R), a left anchor v and each local solution (L', R'), the RS check
+    over 𝓡 \\ R (what the step asks) equals the check over 𝓡 \\ R' (a
+    question about (L', R') alone): local maximality already rules out
+    every u in R \\ R'."""
+    order = data.draw(st.permutations(
+        [(True, v) for v in range(g.n_left)] + [(False, u) for u in range(g.n_right)]))
+    left, right = grow(g, frozenset(), frozenset(), k, order)  # one pass: maximal
+    anchors = sorted(set(range(g.n_left)) - left)
+    if not anchors:
+        return
+    v = data.draw(st.sampled_from(anchors))
+    everything = (1 << g.n_right) - 1
+    lm, rm = mask_of(left), mask_of(right)
+    for loc_l, loc_r in enum_local(g, lm, rm, v, k):
+        assert loc_r & ~rm == 0  # a left anchor only shrinks R
+        assert _has_right_extension(g, loc_l, loc_r, k, everything & ~rm) is (
+            _has_right_extension(g, loc_l, loc_r, k, everything & ~loc_r))
+
+
 def greedy(g, left, right, k, allow_right):
     """Ascending single pass over each side with the oracle predicates."""
     items = [(True, v) for v in range(g.n_left)]
