@@ -20,7 +20,11 @@ All four variants return the same set of local solutions (the prunes only
 skip candidates that provably fail), which the tests assert against the
 brute-force reference `enum_almost_sat_brute`. They run on int bitmasks
 (`enum_local`, the kernel the traversal engine calls); `enum_almost_sat`
-is its frozenset front end.
+is its frozenset front end. The §4.2 split of R by slack against L does
+not depend on the anchor, so the engine passes one `ExpansionBase` to
+every anchor of one H: the R vertices with ≥ k misses against L are
+counted once, and each anchor takes its R¹_enum and R²_enum with two mask
+ANDs against R \\ Γ(v).
 
 `enum_almost_sat_inflation` is the baseline implementation used by
 bTraversal and by Fig 12's "Inflation" bar: inflate the almost-satisfying
@@ -36,6 +40,7 @@ from ..bipartite.graph import (
     BipartiteGraph,
     MaskPair,
     Solution,
+    at_least,
     ids_of,
     mask_of,
     masks_to_solution,
@@ -56,6 +61,22 @@ def _addable(ax: int, grow: int, fixed: int, adj_fixed: list[int],
                for y in ids_of(fixed & ~ax))
 
 
+class ExpansionBase:
+    """What the anchors of one H = (L, R) on one side share: the §4.2
+    split of R by slack against L, which does not depend on the anchor.
+
+    ``short`` holds the R vertices with ≥ k misses against L (R² before
+    v's neighbours are taken out), the bits that at least k of the masks
+    R \\ Γ(x), x ∈ L, share; the first anchor that needs it counts it with
+    `at_least`. One base serves the anchors of one side of one H.
+    """
+
+    __slots__ = ("short",)
+
+    def __init__(self) -> None:
+        self.short: int | None = None
+
+
 def _enum_left(
     g: BipartiteGraph,
     left: int,
@@ -66,27 +87,30 @@ def _enum_left(
     l2: bool,
     r2: bool,
     r_min: int = 0,
+    base: ExpansionBase | None = None,
 ) -> Iterator[MaskPair]:
     """Local solutions of the almost-satisfying graph (L ∪ {v}, R), v ∈ 𝓛.
 
     Sides are masks. Precondition: (left, right) is a k-biplex of ``g``.
     ``r_min`` prunes enumerations whose right side would end below the
-    threshold (large-MBP "local solution pruning", §5).
+    threshold (large-MBP "local solution pruning", §5). ``base`` is the
+    state (left, right) shares with its other anchors; without one the
+    call builds its own.
     """
     bits_l, bits_r = g.bits_l, g.bits_r
+    if base is None:
+        base = ExpansionBase()
+    if base.short is None:
+        base.short = at_least([right & ~bits_l[x] for x in ids_of(left)], k)
     adjv = bits_l[v]
     r_keep = right & adjv          # Lemma 4.1: in every local solution
     r_enum = right & ~adjv
     n_keep = r_keep.bit_count()
-    # §4.2 partition of R_enum by slack against L.
-    n_left = left.bit_count()
-    r1: list[int] = []  # as single-bit masks, so that a pick's sum is its mask
-    r2_part: list[int] = []
-    for u in ids_of(r_enum):
-        if n_left - (bits_r[u] & left).bit_count() <= k - 1:
-            r1.append(1 << u)
-        else:
-            r2_part.append(u)
+    # §4.2 partition of R_enum by slack against L, as single-bit masks so
+    # that a pick's sum is its mask.
+    r2_mask = r_enum & base.short
+    r1 = [1 << u for u in ids_of(r_enum & ~r2_mask)]
+    r2_part = [1 << u for u in ids_of(r2_mask)]
     n_r1 = len(r1)
     lv = left | 1 << v
 
@@ -102,26 +126,31 @@ def _enum_left(
                 if n_keep + total < r_min:
                     continue
                 for r2_pick in combinations(r2_part, t2):
-                    r2_set = mask_of(r2_pick)
+                    r2_set = sum(r2_pick)
                     r_extra = r1_set | r2_set
                     r_prime = r_keep | r_extra
                     leftover = r_enum & ~r_extra
                     if not r2_set:
                         # With R²'' empty the removal enumeration reduces
-                        # to its t = 0 candidate, removing nothing;
-                        # inlined, as it is the common case.
-                        cand = (lv, r_prime)
-                        if _locally_maximal(g, k, cand, 0, leftover, total):
-                            yield cand
+                        # to its t = 0 candidate, removing nothing, and
+                        # local maximality to the leftover right vertices,
+                        # which v blocks once |R''| = k; inlined, as it
+                        # is the common case.
+                        if total >= k or not any(
+                            _addable(bits_r[u], r_prime, lv, bits_l, k)
+                            for u in ids_of(leftover)
+                        ):
+                            yield lv, r_prime
                         continue
                     # §4.3 L_remo: the vertices of L disconnected from
                     # some u ∈ R²''.
+                    r2_adj = [bits_r[b.bit_length() - 1] for b in r2_pick]
                     common = -1
-                    for u in r2_pick:
-                        common &= bits_r[u]
-                    l_remo = list(ids_of(left & ~common))
+                    for adj in r2_adj:
+                        common &= adj
+                    l_remo = [1 << x for x in ids_of(left & ~common)]
                     yield from _enum_removals(
-                        g, k, lv, r_prime, l_remo, r2_pick, leftover, total, l2
+                        g, k, lv, r_prime, l_remo, r2_adj, leftover, total, l2
                     )
 
 
@@ -131,27 +160,27 @@ def _enum_removals(
     lv: int,
     r_prime: int,
     l_remo: list[int],
-    r2_ids: tuple[int, ...],
+    r2_adj: list[int],
     leftover: int,
     n_extra: int,
     l2: bool,
 ) -> Iterator[MaskPair]:
     """§4.3/4.4: enumerate minimal removal sets L̄' ⊆ L_remo for one R'.
 
-    ``lv`` is L ∪ {v}. Only vertices disconnected from some u ∈ R²'' can
-    be in a minimal removal set (every other removed vertex stays
-    re-addable), so ``l_remo`` holds exactly those.
+    ``lv`` is L ∪ {v}; ``r2_adj`` holds the neighbour masks of R²''
+    (never empty). Only vertices disconnected from some u ∈ R²'' can be
+    in a minimal removal set (every other removed vertex stays
+    re-addable), so ``l_remo`` holds exactly those, as single-bit masks.
     """
-    bits_r = g.bits_r
-    r2_adj = [bits_r[u] for u in r2_ids]
     minimal_hits: list[int] = []
-    for t in range(min(len(r2_ids), len(l_remo)) + 1):
+    # Feasibility: each u ∈ R²'' sits at k+1 misses in (L ∪ {v}, R');
+    # removing one of its non-neighbours fixes it. So the empty removal
+    # always fails, and sizes start at 1.
+    for t in range(1, min(len(r2_adj), len(l_remo)) + 1):
         for rm_pick in combinations(l_remo, t):
-            rm = mask_of(rm_pick)
+            rm = sum(rm_pick)
             if l2 and any(not hit & ~rm for hit in minimal_hits):
                 continue  # §4.4: supersets of a success are non-maximal
-            # Feasibility: each u ∈ R²'' sits at k+1 misses in
-            # (L ∪ {v}, R'); removing one of its non-neighbours fixes it.
             if any(not rm & ~adj for adj in r2_adj):
                 continue
             cand = (lv & ~rm, r_prime)
@@ -197,15 +226,19 @@ def enum_local(
     l2: bool = True,
     r2: bool = True,
     r_min: int = 0,
+    base: ExpansionBase | None = None,
 ) -> Iterator[MaskPair]:
     """`enum_almost_sat` on masks: H = (left, right), local solutions as
-    mask pairs. This is the kernel the traversal engine calls."""
+    mask pairs. This is the kernel the traversal engine calls; it passes
+    one ``base`` to every anchor of one side of H."""
     if side == "L":
-        return _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min)
+        return _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min,
+                          base=base)
     if side == "R":
         if r_min:
             raise ValueError("r_min (θ pruning) is defined for side='L' only")
-        swapped = _enum_left(g.transpose(), right, left, v, k, l2=l2, r2=r2)
+        swapped = _enum_left(g.transpose(), right, left, v, k, l2=l2, r2=r2,
+                             base=base)
         return ((b, a) for a, b in swapped)
     raise ValueError(f"side must be 'L' or 'R', got {side!r}")
 

@@ -44,6 +44,14 @@ left-only extension is a function of the pair too. So each right-shrinking
 `SuccessorStep` keeps one `_LocalMemo` of these outcomes, keyed on the
 masks, in two generations of a fixed size; a repeat counts every counter
 a first visit would, so output and `TraversalStats` do not change.
+
+Shared bases. What the anchors of one expansion, or the local solutions
+of one anchor, have in common is computed once, by the kernel that reads
+it, on its first use: EnumAlmostSat's slack split of R
+(`almost_sat.ExpansionBase`), the RS check's counters over 𝓡 \\ R and
+per-anchor tight set (`_RightBase`), and θ mode's `_AnchorPotential`.
+Links stay masks: the DFS's visited set holds packed mask ints, and only
+a new MBP becomes frozensets.
 """
 from __future__ import annotations
 
@@ -56,15 +64,18 @@ from ..bipartite.graph import (
     BipartiteGraph,
     MaskPair,
     Solution,
-    SolutionKey,
     at_least,
     ids_of,
     mask_of,
     masks_to_solution,
-    solution_key,
 )
+# Not called here any more (the visited set holds mask keys), but kept
+# importable: perfbench's tracer wraps the module global of this name
+# (its ``dedup`` layer) and looks it up with getattr, so a traced run
+# would fail without it.
+from ..bipartite.graph import solution_key  # noqa: F401
 from ..bipartite.predicates import normalize_k, normalize_theta
-from .almost_sat import enum_almost_sat_inflation
+from .almost_sat import ExpansionBase, enum_almost_sat_inflation
 # The per-item layers of the successor step are called through these module
 # globals, looked up at call time, so a tracer can wrap them. The mask
 # kernels keep the names of the frozenset APIs they implement.
@@ -90,8 +101,8 @@ class TraversalStats:
         return dict(self.__dict__)
 
 
-# A link: the successor MBP, its sides as masks, and its exclusion mask.
-Link = tuple[Solution, MaskPair, int]
+# A link: the successor MBP's sides as masks, and its exclusion mask.
+Link = tuple[MaskPair, int]
 
 
 @dataclass
@@ -102,8 +113,69 @@ class _Node:
     emitted: bool
 
 
+class _RightBase:
+    """The right-shrinking checks of one expansion H = (L, R) share.
+
+    Every local solution of a left anchor v has L′ ⊆ L ∪ {v} and
+    R′ = R_keep ∪ R″ (Lemma 4.1; `_AnchorPotential`), and the check asks
+    about the same vertices 𝓡 \\ R each time. So, for L′ = L ∪ {v}:
+
+    * per expansion, ``over`` holds `at_least`'s k+1 saturating counters
+      of c(u) = |L \\ Γ(u)| over u ∈ 𝓡 \\ R; u misses at most k of L′
+      iff c(u) + [u ∉ Γ(v)] ≤ k, two mask operations per anchor;
+    * per anchor, ``cand`` starts from those u and ANDs in the neighbour
+      masks of the vertices of L′ already tight on R_keep (δ̄(x, R_keep)
+      ≥ k), and ``near`` lists, as (neighbour mask, need), the vertices
+      that become tight once R″ holds ``need`` = k − δ̄(x, R_keep) of their
+      non-neighbours; v is one of them, with need k.
+
+    A local solution then walks ``near`` only. Both parts are built by the
+    check itself: the counters on the expansion's first call, an anchor's
+    state on its first call with L′ = L ∪ {v} (``v`` holds that anchor's
+    bit). Other local solutions take the standalone formula.
+    """
+
+    __slots__ = ("left", "right", "over", "v", "keep", "cand", "near")
+
+    def __init__(self, left: int, right: int) -> None:
+        self.left, self.right = left, right
+        self.over: list[int] | None = None
+        self.v = 0
+        self.keep = self.cand = 0
+        self.near: list[tuple[int, int]] = []
+
+    def set_anchor(self, g: BipartiteGraph, k: int, outside_right: int,
+                   v: int) -> None:
+        bits_l = g.bits_l
+        if self.over is None:
+            self.over = [0] * (k + 1)
+            at_least([outside_right & ~bits_l[x] for x in ids_of(self.left)],
+                     k + 1, self.over)
+        over = self.over
+        av = bits_l[v.bit_length() - 1]
+        cand = outside_right & ~(over[k] | over[k - 1] & ~av)
+        keep, r_enum = self.right & av, self.right & ~av
+        n_keep = keep.bit_count()
+        near = []
+        for x in ids_of(self.left | v):
+            if not cand:
+                break
+            ax = bits_l[x]
+            need = k - n_keep + (ax & keep).bit_count()
+            if need <= 0:
+                cand &= ax
+            elif (r_enum & ~ax).bit_count() >= need:
+                near.append((ax, need))
+        self.v, self.keep, self.cand, self.near = v, keep, cand, near
+
+
 def _has_right_extension(
-    g: BipartiteGraph, left: int, right: int, k: int, outside_right: int
+    g: BipartiteGraph,
+    left: int,
+    right: int,
+    k: int,
+    outside_right: int,
+    base: _RightBase | None = None,
 ) -> bool:
     """Algorithm 2 line 7: ∃ u ∈ 𝓡 \\ V(H_loc) with H_loc ∪ {u} a k-biplex?
 
@@ -116,9 +188,25 @@ def _has_right_extension(
       it disconnects, so u must be a common neighbour of all such x;
     * u itself may miss at most k of L_loc: u must lie outside the bits
       that at least k+1 of the masks 𝓡 \\ Γ(x) (x ∈ L_loc) share.
+
+    ``base`` is the state of the expansion H_loc is a local solution of;
+    with it, an H_loc with L_loc = L ∪ {v} takes both conditions from
+    `_RightBase`.
     """
     if not outside_right:
         return False
+    if base is not None and left & base.left == base.left:
+        v = left & ~base.left
+        if base.v != v:
+            base.set_anchor(g, k, outside_right, v)
+        cand = base.cand
+        extra = right & ~base.keep  # R″
+        for ax, need in base.near:
+            if not cand:
+                return False
+            if (extra & ~ax).bit_count() >= need:
+                cand &= ax
+        return bool(cand)
     bits_l = g.bits_l
     adj = [bits_l[x] for x in ids_of(left)]
     max_hits = right.bit_count() - k  # x is tight iff |Γ(x, R_loc)| ≤ this
@@ -332,7 +420,7 @@ class SuccessorStep:
             raise ValueError("θ pruning requires the full iTraversal prunings")
         g, k, deadline = self.g, self.k, self.deadline
         if self.local_enum == "inflation":
-            def local(left, right, v, side, r_min):
+            def local(left, right, v, side, r_min, base):
                 if deadline is not None and time.monotonic() > deadline:
                     return
                 sol = masks_to_solution(left, right)
@@ -347,10 +435,9 @@ class SuccessorStep:
             except KeyError:
                 raise ValueError(f"unknown local_enum {self.local_enum!r}") from None
 
-            def local(left, right, v, side, r_min):
-                return enum_almost_sat(
-                    g, left, right, v, k, side=side, l2=l2, r2=r2, r_min=r_min
-                )
+            def local(left, right, v, side, r_min, base):
+                return enum_almost_sat(g, left, right, v, k, side=side, l2=l2,
+                                       r2=r2, r_min=r_min, base=base)
 
         self._local = local
         self._memo = _LocalMemo()
@@ -388,8 +475,12 @@ class SuccessorStep:
         ``excl`` (left vertices, plus right ones for bTraversal): the §4
         local solutions, the θ-potential check, the §3.4 right-shrinking
         check, the exclusion test and the extension to a maximal k-biplex.
-        Yields a `Link` per surviving local solution; only the link
-        becomes frozensets."""
+        Yields a `Link` per surviving local solution.
+
+        What the anchors of H share is built once per expansion, lazily:
+        EnumAlmostSat's `ExpansionBase` (one per side) and the RS check's
+        `_RightBase`, which also keeps the state of the anchor whose local
+        solutions it is checking."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
         local, memo = self._local, self._memo
@@ -398,12 +489,14 @@ class SuccessorStep:
         st.expansions += 1
         free_right = ((1 << n_right) - 1) & ~right
         outside_right = free_right if right_shrinking else 0
+        rs_base = _RightBase(left, right) if right_shrinking else None
         if self.left_anchored:
             free_right = 0  # no right anchors
         # ``processed`` holds the left anchors finished at this node; a
         # child's exclusion set is excl ∪ processed-so-far.
         processed = 0
         for side, free in (("L", ((1 << g.n_left) - 1) & ~left), ("R", free_right)):
+            base = ExpansionBase()
             for v in ids_of(free):
                 bit = 1 << v
                 if side == "L":
@@ -423,7 +516,7 @@ class SuccessorStep:
                 anchor = (_AnchorPotential(bits_l[v] & right, k)
                           if theta is not None else None)
                 st.almost_sat_calls += 1
-                for loc_l, loc_r in local(left, right, v, side, theta_r):
+                for loc_l, loc_r in local(left, right, v, side, theta_r, base):
                     st.local_solutions += 1
                     if theta is not None and not _theta_potential_ok(
                         g, loc_r, k, theta_l, theta_r, anchor
@@ -445,7 +538,7 @@ class SuccessorStep:
                         ext = memo.get(key)
                         if ext is None:
                             ext = not _has_right_extension(
-                                g, loc_l, loc_r, k, outside_right
+                                g, loc_l, loc_r, k, outside_right, rs_base
                             )
                             memo.put(key, ext)
                         if ext is False:
@@ -469,7 +562,7 @@ class SuccessorStep:
                         st.pruned_exclusion += 1
                         continue
                     st.links += 1
-                    yield masks_to_solution(*ext), ext, child_excl
+                    yield ext, child_excl
                 if side == "L":
                     processed |= bit
 
@@ -481,7 +574,9 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     per-solution question (the Fig 11 toggles, ``theta``, ``local_enum``,
     ``stats``, ``deadline``); its defaults are the full iTraversal. This
     function is the DFS alone: the visited set, the alternating output
-    and the deadline.
+    and the deadline. The visited set holds each MBP's masks packed into
+    one int, L << |𝓡| | R, so a link to a visited MBP costs one set
+    lookup; only a new MBP becomes frozensets.
 
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
     stops (the reproduction's analog of the paper's INF budget —
@@ -500,10 +595,16 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
         st.solutions += 1
         return True
 
+    # Without exclusion a child needs no θ test of its own: its right side
+    # is its local solution's (right-shrinking keeps it), which already
+    # passed the same potential test, with no exclusion set, in the step.
+    # So only H0 is tested, as in the frontier BFS.
+    test_children = step.exclusion and step.theta is not None
+    n_right = g.n_right
     h0 = step.root()
-    visited: set[SolutionKey] = {solution_key(h0)}
-    stack: list[_Node] = []
     h0_left, h0_right = mask_of(h0[0]), mask_of(h0[1])
+    visited = {h0_left << n_right | h0_right}
+    stack: list[_Node] = []
     if expandable(h0_right, 0):
         stack.append(_Node(h0, step(h0_left, h0_right, 0), 0, True))  # pre-order
     if emit(h0):
@@ -518,13 +619,14 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
             if not node.emitted and emit(node.sol):
                 yield node.sol
             continue
-        child, (child_left, child_right), child_excl = nxt
-        ck = solution_key(child)
+        (child_left, child_right), child_excl = nxt
+        ck = child_left << n_right | child_right
         if ck in visited:
             continue
         visited.add(ck)
+        child = masks_to_solution(child_left, child_right)
         depth = node.depth + 1
-        if expandable(child_right, child_excl):
+        if not test_children or expandable(child_right, child_excl):
             # §3.5's alternating output, for polynomial delay: children
             # at even depth are emitted now (pre-order), the rest when
             # their expansion completes (pop).

@@ -29,19 +29,24 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..bipartite.graph import BipartiteGraph, Solution, mask_of
+from ..bipartite.graph import BipartiteGraph, Solution, ids_of, mask_of
 from ..core.itraversal import SuccessorStep
 
 SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
 
 
-def solution_row(sol: Solution) -> dict:
-    l, r = sorted(sol[0]), sorted(sol[1])
+def mask_row(left: int, right: int) -> dict:
+    """The row of the solution with sides ``left``/``right`` (masks)."""
+    l, r = list(ids_of(left)), list(ids_of(right))
     return {
         "key": ",".join(map(str, l)) + "|" + ",".join(map(str, r)),
         "l": l,
         "r": r,
     }
+
+
+def solution_row(sol: Solution) -> dict:
+    return mask_row(mask_of(sol[0]), mask_of(sol[1]))
 
 
 def frontier_step(
@@ -81,8 +86,7 @@ def frontier_enumerate(
             rows = []
             for l_arr, r_arr in zip(pdf["l"], pdf["r"]):
                 left, right = mask_of(map(int, l_arr)), mask_of(map(int, r_arr))
-                rows += [solution_row(succ)
-                         for succ, _, _ in batch_step(left, right, 0)]
+                rows += [mask_row(*succ) for succ, _ in batch_step(left, right, 0)]
             yield pd.DataFrame(rows, columns=["key", "l", "r"])
 
     h0 = step.root()

@@ -3,7 +3,7 @@ import pytest
 
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
-from repro.bipartite.graph import mask_of, solution_key
+from repro.bipartite.graph import mask_of, masks_to_solution, solution_key
 from repro.core.itraversal import itraversal
 from repro.distributed.frontier import (
     collect_solutions,
@@ -21,7 +21,8 @@ def local_keys(it):
 def successors(g, k, sol):
     """The frontier's successors of one solution, without θ."""
     step = frontier_step(g, k, None)
-    return [succ for succ, _, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
+    return [masks_to_solution(*succ)
+            for succ, _ in step(mask_of(sol[0]), mask_of(sol[1]), 0)]
 
 
 def test_solution_row_canonical():

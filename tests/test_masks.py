@@ -8,7 +8,7 @@ ids ≥ 64 (multi-limb ints), empty sides, isolated vertices and |R| ≤ k.
 """
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.bipartite.generators import random_bipartite_gnp
@@ -19,10 +19,16 @@ from repro.bipartite.predicates import (
     is_kbiplex,
     is_maximal_kbiplex,
 )
-from repro.core.almost_sat import enum_almost_sat, enum_almost_sat_brute, enum_local
+from repro.core.almost_sat import (
+    ExpansionBase,
+    enum_almost_sat,
+    enum_almost_sat_brute,
+    enum_local,
+)
 from repro.core.extend import extend_masks
 from repro.core.itraversal import (
     _AnchorPotential,
+    _RightBase,
     _has_right_extension,
     _potential_ok,
     _theta_potential_ok,
@@ -231,3 +237,52 @@ def test_anchor_state_matches_standalone(data, g, k):
                 assert all(a is b for a, b in zip(got, want[::order]))
                 if anchor.dead:
                     assert not any(want)
+
+
+def maximal_h(data, g, k):
+    """A maximal k-biplex H of ``g`` (one greedy pass over a drawn order)."""
+    order = data.draw(st.permutations(
+        [(True, v) for v in range(g.n_left)] + [(False, u) for u in range(g.n_right)]))
+    return grow(g, frozenset(), frozenset(), k, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_expansion_base_matches_slack_test(data, g, k):
+    """The §4.2 split that all anchors of H share equals the per-vertex
+    slack test of each anchor, and sharing it leaves every anchor's local
+    solutions and their order unchanged."""
+    drawn = data.draw(anchored(g, k, "L", 12, min_size=4))
+    if drawn is None:
+        return
+    (left, right), _ = drawn
+    lm, rm = mask_of(left), mask_of(right)
+    base = ExpansionBase()
+    anchors = [x for x in range(g.n_left) if x not in left][:6]
+    for x in anchors:
+        shared = list(enum_local(g, lm, rm, x, k, base=base))
+        assert shared == list(enum_local(g, lm, rm, x, k))
+        r_enum = right - g.adj_l[x]
+        r1 = {u for u in r_enum if len(left) - len(g.adj_r[u] & left) <= k - 1}
+        assert set(ids_of(mask_of(r_enum) & ~base.short)) == r1
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_rs_base_matches_standalone(data, g, k):
+    """The RS check with the base one expansion shares equals the check
+    without it on every local solution of every anchor, in the step's
+    order: those with L' = L ∪ {v} (which read the base) and the
+    removal-path ones (which take the standalone formula)."""
+    left, right = maximal_h(data, g, k)
+    lm, rm = mask_of(left), mask_of(right)
+    outside = ((1 << g.n_right) - 1) & ~rm
+    base = _RightBase(lm, rm)
+    anchors = sorted(data.draw(st.sets(
+        st.sampled_from(sorted(set(range(g.n_left)) - left)), max_size=6))
+        if g.n_left > len(left) else ())
+    for v in anchors:
+        for loc_l, loc_r in enum_local(g, lm, rm, v, k):
+            event("L' = L ∪ {v}" if loc_l == lm | 1 << v else "removal path")
+            assert _has_right_extension(g, loc_l, loc_r, k, outside, base) is (
+                _has_right_extension(g, loc_l, loc_r, k, outside))

@@ -96,3 +96,46 @@ def test_bad_theta_rejected(theta):
     g = random_bipartite_gnp(n_left=4, n_right=4, p=0.5, seed=0)
     with pytest.raises(ValueError, match="theta"):
         list(itraversal(g, 1, theta=theta))
+
+
+# Emitted sequence and counters of `iTraversal-ES` with θ, recorded from
+# the DFS that still tested every child's θ expandability.
+ES_THETA_RUNS = [
+    (dict(n_left=3, n_right=66, p=0.95, seed=1), (2, 3)),
+    (dict(n_left=9, n_right=6, p=0.4, seed=2), (2, 2)),
+    (dict(n_left=7, n_right=7, p=0.45, seed=0), 2),
+]
+ES_THETA_DIGEST = "6959780adc0fc0512d5b9874801d8b8464093e5c4c7098136f164baba9f797e8"
+
+
+def test_es_theta_tests_only_h0(monkeypatch):
+    """Without exclusion a child's θ expandability is settled in the step,
+    so `traverse` asks `expandable` once per run, for H0; the emitted
+    sequence and every counter stay as they were."""
+    import hashlib
+    import json
+
+    from repro.core.itraversal import VARIANTS, SuccessorStep
+    from repro.experiments import datasets
+
+    calls = []
+    expandable = SuccessorStep.expandable
+
+    def counted(self, right, excl):
+        calls.append(right)
+        return expandable(self, right, excl)
+
+    monkeypatch.setattr(SuccessorStep, "expandable", counted)
+    cfat = datasets.load("Cfat")
+    core, _, _ = cfat.induced(*theta_k_core(cfat, 4, 1))
+    runs = [(core, 1, 4)] + [(random_bipartite_gnp(**spec), k, theta)
+                             for spec, theta in ES_THETA_RUNS for k in (1, 2)]
+    h = hashlib.sha256()
+    for g, k, theta in runs:
+        calls.clear()
+        st = TraversalStats()
+        for sol in VARIANTS["iTraversal-ES"](g, k, theta=theta, stats=st):
+            h.update(repr(solution_key(sol)).encode())
+        h.update(json.dumps(st.as_dict(), sort_keys=True).encode())
+        assert len(calls) == 1
+    assert h.hexdigest() == ES_THETA_DIGEST
