@@ -111,37 +111,37 @@ def _enum_left(
     r2_mask = r_enum & base.short
     r1 = [1 << u for u in ids_of(r_enum & ~r2_mask)]
     r2_part = [1 << u for u in ids_of(r2_mask)]
-    n_r1 = len(r1)
+    n_r1, n_r2 = len(r1), len(r2_part)
     lv = left | 1 << v
 
     for t1 in range(min(k, n_r1) + 1):
+        # The sizes t2 = |R²''| that can give a local solution with this t1:
+        # Lemma 4.2 (with r2) drops |R''| < k while some u ∈ R¹_enum \ R''₁
+        # is left, since it could always be added; r_min drops right sides
+        # that end below the threshold.
+        sizes = [t2 for t2 in range(min(k - t1, n_r2) + 1)
+                 if not (r2 and t1 + t2 < k and t1 < n_r1)
+                 and n_keep + t1 + t2 >= r_min]
+        if not sizes:
+            continue
+        plain = sizes[0] == 0
+        removal_sizes = sizes[1:] if plain else sizes
         for r1_pick in combinations(r1, t1):
             r1_set = sum(r1_pick)
-            for t2 in range(min(k - t1, len(r2_part)) + 1):
-                total = t1 + t2
-                if r2 and total < k and t1 < n_r1:
-                    # Lemma 4.2: some u ∈ R¹_enum \ R''₁ could always be
-                    # added, so no candidate with this R' is maximal.
-                    continue
-                if n_keep + total < r_min:
-                    continue
+            if plain:
+                # R²'' = ∅: the removal enumeration reduces to removing
+                # nothing, and local maximality to the leftover right
+                # vertices, which v blocks once |R''| = k; inlined, as it
+                # is the common case.
+                r_prime = r_keep | r1_set
+                if t1 >= k or not any(
+                    _addable(bits_r[u], r_prime, lv, bits_l, k)
+                    for u in ids_of(r_enum & ~r1_set)
+                ):
+                    yield lv, r_prime
+            for t2 in removal_sizes:
                 for r2_pick in combinations(r2_part, t2):
-                    r2_set = sum(r2_pick)
-                    r_extra = r1_set | r2_set
-                    r_prime = r_keep | r_extra
-                    leftover = r_enum & ~r_extra
-                    if not r2_set:
-                        # With R²'' empty the removal enumeration reduces
-                        # to its t = 0 candidate, removing nothing, and
-                        # local maximality to the leftover right vertices,
-                        # which v blocks once |R''| = k; inlined, as it
-                        # is the common case.
-                        if total >= k or not any(
-                            _addable(bits_r[u], r_prime, lv, bits_l, k)
-                            for u in ids_of(leftover)
-                        ):
-                            yield lv, r_prime
-                        continue
+                    r_extra = r1_set | sum(r2_pick)
                     # §4.3 L_remo: the vertices of L disconnected from
                     # some u ∈ R²''.
                     r2_adj = [bits_r[b.bit_length() - 1] for b in r2_pick]
@@ -150,7 +150,8 @@ def _enum_left(
                         common &= adj
                     l_remo = [1 << x for x in ids_of(left & ~common)]
                     yield from _enum_removals(
-                        g, k, lv, r_prime, l_remo, r2_adj, leftover, total, l2
+                        g, k, lv, r_keep | r_extra, l_remo, r2_adj,
+                        r_enum & ~r_extra, t1 + t2, l2,
                     )
 
 
@@ -171,7 +172,10 @@ def _enum_removals(
     (never empty). Only vertices disconnected from some u ∈ R²'' can be
     in a minimal removal set (every other removed vertex stays
     re-addable), so ``l_remo`` holds exactly those, as single-bit masks.
+    ``leftover`` holds the unchosen R_enum vertices and ``n_extra`` is
+    |R''|, v's misses.
     """
+    bits_l, bits_r = g.bits_l, g.bits_r
     minimal_hits: list[int] = []
     # Feasibility: each u ∈ R²'' sits at k+1 misses in (L ∪ {v}, R');
     # removing one of its non-neighbours fixes it. So the empty removal
@@ -183,36 +187,19 @@ def _enum_removals(
                 continue  # §4.4: supersets of a success are non-maximal
             if any(not rm & ~adj for adj in r2_adj):
                 continue
-            cand = (lv & ~rm, r_prime)
-            if _locally_maximal(g, k, cand, rm, leftover, n_extra):
-                if l2:
-                    minimal_hits.append(rm)
-                yield cand
-
-
-def _locally_maximal(
-    g: BipartiteGraph,
-    k: int,
-    cand: MaskPair,
-    removed_left: int,
-    leftover_right: int,
-    v_misses: int,
-) -> bool:
-    """Maximality of ``cand`` within the almost-satisfying graph.
-
-    The only vertices of the almost-satisfying graph outside ``cand`` are
-    the removed left vertices and the unchosen R_enum vertices.
-    """
-    left, right = cand
-    bits_l, bits_r = g.bits_l, g.bits_r
-    for x in ids_of(removed_left):
-        if _addable(bits_l[x], left, right, bits_r, k):
-            return False
-    if v_misses < k:  # otherwise v blocks every leftover right vertex
-        for u in ids_of(leftover_right):
-            if _addable(bits_r[u], right, left, bits_l, k):
-                return False
-    return True
+            # Maximality within the almost-satisfying graph, whose only
+            # vertices outside the candidate are the removed left ones and
+            # the leftover right ones (which v blocks once |R''| = k).
+            cand_l = lv & ~rm
+            if any(_addable(bits_l[b.bit_length() - 1], cand_l, r_prime, bits_r, k)
+                   for b in rm_pick):
+                continue
+            if n_extra < k and any(_addable(bits_r[u], r_prime, cand_l, bits_l, k)
+                                   for u in ids_of(leftover)):
+                continue
+            if l2:
+                minimal_hits.append(rm)
+            yield cand_l, r_prime
 
 
 def enum_local(
