@@ -34,10 +34,6 @@ def solution_key(sol: Solution) -> SolutionKey:
     return (tuple(sorted(left)), tuple(sorted(right)))
 
 
-def make_solution(left: Iterable[int], right: Iterable[int]) -> Solution:
-    return (frozenset(left), frozenset(right))
-
-
 def mask_of(ids: Iterable[int]) -> int:
     """Bitmask with bit ``i`` set for every id ``i``."""
     m = 0
@@ -176,9 +172,6 @@ class BipartiteGraph:
 
     def degree_right(self, u: int) -> int:
         return len(self.adj_r[u])
-
-    def has_edge(self, v: int, u: int) -> bool:
-        return u in self.adj_l[v]
 
     # The masks are built on first use, so that building a graph costs
     # nothing extra for callers that never run the traversal engine.

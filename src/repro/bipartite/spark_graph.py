@@ -1,9 +1,9 @@
-"""Spark ↔ local bipartite graph plumbing.
+"""Local → Spark bipartite graph plumbing.
 
 Edge DataFrames use the schema ``(src: long, dst: long)`` where ``src``
 is a left-side id and ``dst`` a right-side id. All distributed pipelines
-(degree computation, core peeling, components, frontier enumeration)
-start from this schema; the DuckDB oracle checks the SQL-shaped parts.
+(edge counts, core peeling, components, frontier enumeration) start from
+this schema.
 """
 from __future__ import annotations
 
@@ -22,29 +22,6 @@ def edges_to_spark(spark: SparkSession, g: BipartiteGraph) -> DataFrame:
     if pdf.empty:  # createDataFrame needs a schema for empty frames
         return spark.createDataFrame([], "src long, dst long")
     return spark.createDataFrame(pdf)
-
-
-def spark_to_graph(
-    edges: DataFrame, *, n_left: int | None = None, n_right: int | None = None
-) -> BipartiteGraph:
-    """Collect an edge DataFrame into a local BipartiteGraph."""
-    pdf = edges.select("src", "dst").toPandas()
-    return BipartiteGraph.from_edges(
-        zip(pdf["src"].tolist(), pdf["dst"].tolist()),
-        n_left=n_left,
-        n_right=n_right,
-    )
-
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Per-vertex degrees: columns (side: 'L'|'R', id, degree)."""
-    left = edges.groupBy(F.col("src").alias("id")).agg(
-        F.count("*").alias("degree")
-    ).withColumn("side", F.lit("L"))
-    right = edges.groupBy(F.col("dst").alias("id")).agg(
-        F.count("*").alias("degree")
-    ).withColumn("side", F.lit("R"))
-    return left.unionByName(right).select("side", "id", "degree")
 
 
 def graph_stats(edges: DataFrame) -> dict[str, int]:

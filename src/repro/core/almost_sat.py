@@ -22,9 +22,9 @@ brute-force reference `enum_almost_sat_brute`. They run on int bitmasks
 (`enum_local`, the kernel the traversal engine calls); `enum_almost_sat`
 is its frozenset front end. The §4.2 split of R by slack against L does
 not depend on the anchor, so the engine passes one `ExpansionBase` to
-every anchor of one H: the R vertices with ≥ k misses against L are
-counted once, and each anchor takes its R¹_enum and R²_enum with two mask
-ANDs against R \\ Γ(v).
+every anchor of one side of H: the misses against L are counted once, and
+each anchor takes its R¹_enum and R²_enum with two mask ANDs against
+R \\ Γ(v).
 
 `enum_almost_sat_inflation` is the baseline implementation used by
 bTraversal and by Fig 12's "Inflation" bar: inflate the almost-satisfying
@@ -62,19 +62,36 @@ def _addable(ax: int, grow: int, fixed: int, adj_fixed: list[int],
 
 
 class ExpansionBase:
-    """What the anchors of one H = (L, R) on one side share: the §4.2
-    split of R by slack against L, which does not depend on the anchor.
+    """What the anchors of one side of H = (L, R) share: for every vertex u
+    of the other side, c(u) = |L \\ Γ(u)|, the number of vertices of L it
+    misses, which does not depend on the anchor.
 
-    ``short`` holds the R vertices with ≥ k misses against L (R² before
-    v's neighbours are taken out), the bits that at least k of the masks
-    R \\ Γ(x), x ∈ L, share; the first anchor that needs it counts it with
-    `at_least`. One base serves the anchors of one side of one H.
+    ``over`` holds `at_least`'s k+1 saturating counters of c(u) over the
+    whole other side (``over[j]``: the u with c(u) > j), built by the first
+    kernel that asks for them (`counters`). Both kernels of the successor
+    step read them: EnumAlmostSat's §4.2 split takes R² before v's
+    neighbours are taken out (c(u) ≥ k) as ``over[k-1] & R``, and the
+    right-shrinking check (`itraversal._has_right_extension`) reads them
+    outside R. That check also keeps here the state of the anchor whose
+    local solutions it is checking: ``v`` (the anchor's bit), ``keep``,
+    ``cand`` and ``near``.
     """
 
-    __slots__ = ("short",)
+    __slots__ = ("left", "right", "over", "v", "keep", "cand", "near")
 
-    def __init__(self) -> None:
-        self.short: int | None = None
+    def __init__(self, left: int, right: int) -> None:
+        self.left, self.right = left, right
+        self.over: list[int] | None = None
+        self.v = self.keep = self.cand = 0
+        self.near: list[tuple[int, int]] = []
+
+    def counters(self, g: BipartiteGraph, k: int) -> list[int]:
+        if self.over is None:
+            full, bits_l = (1 << g.n_right) - 1, g.bits_l
+            self.over = [0] * (k + 1)
+            at_least([full & ~bits_l[x] for x in ids_of(self.left)], k + 1,
+                     self.over)
+        return self.over
 
 
 def _enum_left(
@@ -94,21 +111,19 @@ def _enum_left(
     Sides are masks. Precondition: (left, right) is a k-biplex of ``g``.
     ``r_min`` prunes enumerations whose right side would end below the
     threshold (large-MBP "local solution pruning", §5). ``base`` is the
-    state (left, right) shares with its other anchors; without one the
-    call builds its own.
+    `ExpansionBase` of (left, right) that its other anchors share; without
+    one the call builds its own.
     """
     bits_l, bits_r = g.bits_l, g.bits_r
     if base is None:
-        base = ExpansionBase()
-    if base.short is None:
-        base.short = at_least([right & ~bits_l[x] for x in ids_of(left)], k)
+        base = ExpansionBase(left, right)
     adjv = bits_l[v]
     r_keep = right & adjv          # Lemma 4.1: in every local solution
     r_enum = right & ~adjv
     n_keep = r_keep.bit_count()
     # §4.2 partition of R_enum by slack against L, as single-bit masks so
     # that a pick's sum is its mask.
-    r2_mask = r_enum & base.short
+    r2_mask = r_enum & base.counters(g, k)[k - 1]
     r1 = [1 << u for u in ids_of(r_enum & ~r2_mask)]
     r2_part = [1 << u for u in ids_of(r2_mask)]
     n_r1, n_r2 = len(r1), len(r2_part)
@@ -217,7 +232,8 @@ def enum_local(
 ) -> Iterator[MaskPair]:
     """`enum_almost_sat` on masks: H = (left, right), local solutions as
     mask pairs. This is the kernel the traversal engine calls; it passes
-    one ``base`` to every anchor of one side of H."""
+    one ``base`` to every anchor of one side of H, built in that side's
+    frame (``ExpansionBase(right, left)`` for ``side='R'``)."""
     if side == "L":
         return _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min,
                           base=base)

@@ -46,10 +46,11 @@ masks, in two generations of a fixed size; a repeat counts every counter
 a first visit would, so output and `TraversalStats` do not change.
 
 Shared bases. What the anchors of one expansion, or the local solutions
-of one anchor, have in common is computed once, by the kernel that reads
-it, on its first use: EnumAlmostSat's slack split of R
-(`almost_sat.ExpansionBase`), the RS check's counters over 𝓡 \\ R and
-per-anchor tight set (`_RightBase`), and θ mode's `_AnchorPotential`.
+of one anchor, have in common is computed once, by the first kernel that
+reads it: each side of H has one `almost_sat.ExpansionBase`, whose
+counters of c(u) = |L \\ Γ(u)| give both EnumAlmostSat's slack split of R
+and the RS check's test outside R, and which holds the RS check's
+per-anchor tight set; θ mode has `_AnchorPotential`.
 Links stay masks: the DFS's visited set holds packed mask ints, and only
 a new MBP becomes frozensets.
 """
@@ -113,69 +114,13 @@ class _Node:
     emitted: bool
 
 
-class _RightBase:
-    """The right-shrinking checks of one expansion H = (L, R) share.
-
-    Every local solution of a left anchor v has L′ ⊆ L ∪ {v} and
-    R′ = R_keep ∪ R″ (Lemma 4.1; `_AnchorPotential`), and the check asks
-    about the same vertices 𝓡 \\ R each time. So, for L′ = L ∪ {v}:
-
-    * per expansion, ``over`` holds `at_least`'s k+1 saturating counters
-      of c(u) = |L \\ Γ(u)| over u ∈ 𝓡 \\ R; u misses at most k of L′
-      iff c(u) + [u ∉ Γ(v)] ≤ k, two mask operations per anchor;
-    * per anchor, ``cand`` starts from those u and ANDs in the neighbour
-      masks of the vertices of L′ already tight on R_keep (δ̄(x, R_keep)
-      ≥ k), and ``near`` lists, as (neighbour mask, need), the vertices
-      that become tight once R″ holds ``need`` = k − δ̄(x, R_keep) of their
-      non-neighbours; v is one of them, with need k.
-
-    A local solution then walks ``near`` only. Both parts are built by the
-    check itself: the counters on the expansion's first call, an anchor's
-    state on its first call with L′ = L ∪ {v} (``v`` holds that anchor's
-    bit). Other local solutions take the standalone formula.
-    """
-
-    __slots__ = ("left", "right", "over", "v", "keep", "cand", "near")
-
-    def __init__(self, left: int, right: int) -> None:
-        self.left, self.right = left, right
-        self.over: list[int] | None = None
-        self.v = 0
-        self.keep = self.cand = 0
-        self.near: list[tuple[int, int]] = []
-
-    def set_anchor(self, g: BipartiteGraph, k: int, outside_right: int,
-                   v: int) -> None:
-        bits_l = g.bits_l
-        if self.over is None:
-            self.over = [0] * (k + 1)
-            at_least([outside_right & ~bits_l[x] for x in ids_of(self.left)],
-                     k + 1, self.over)
-        over = self.over
-        av = bits_l[v.bit_length() - 1]
-        cand = outside_right & ~(over[k] | over[k - 1] & ~av)
-        keep, r_enum = self.right & av, self.right & ~av
-        n_keep = keep.bit_count()
-        near = []
-        for x in ids_of(self.left | v):
-            if not cand:
-                break
-            ax = bits_l[x]
-            need = k - n_keep + (ax & keep).bit_count()
-            if need <= 0:
-                cand &= ax
-            elif (r_enum & ~ax).bit_count() >= need:
-                near.append((ax, need))
-        self.v, self.keep, self.cand, self.near = v, keep, cand, near
-
-
 def _has_right_extension(
     g: BipartiteGraph,
     left: int,
     right: int,
     k: int,
     outside_right: int,
-    base: _RightBase | None = None,
+    base: ExpansionBase | None = None,
 ) -> bool:
     """Algorithm 2 line 7: ∃ u ∈ 𝓡 \\ V(H_loc) with H_loc ∪ {u} a k-biplex?
 
@@ -189,16 +134,44 @@ def _has_right_extension(
     * u itself may miss at most k of L_loc: u must lie outside the bits
       that at least k+1 of the masks 𝓡 \\ Γ(x) (x ∈ L_loc) share.
 
-    ``base`` is the state of the expansion H_loc is a local solution of;
-    with it, an H_loc with L_loc = L ∪ {v} takes both conditions from
-    `_RightBase`.
+    ``base`` is the `ExpansionBase` of the H = (L, R) that H_loc is a
+    local solution of. Every local solution of a left anchor v has
+    R_loc = R_keep ∪ R″ with R_keep = R ∩ Γ(v) (Lemma 4.1), so for
+    L_loc = L ∪ {v} both conditions come from state the anchor's local
+    solutions share, built on the anchor's first such check:
+
+    * ``cand``: the u ∈ 𝓡 \\ R with c(u) + [u ∉ Γ(v)] ≤ k, read off the
+      base's counters, ANDed with the neighbour masks of the x already
+      tight on R_keep (δ̄(x, R_keep) ≥ k);
+    * ``near``: (neighbour mask, need) of each x that is tight once R″
+      holds need = k − δ̄(x, R_keep) of its non-neighbours; v is one of
+      them, with need k.
+
+    A local solution then walks ``near`` only. Removal-path local
+    solutions (L_loc ⊉ L) take the standalone formula.
     """
     if not outside_right:
         return False
+    bits_l = g.bits_l
     if base is not None and left & base.left == base.left:
         v = left & ~base.left
         if base.v != v:
-            base.set_anchor(g, k, outside_right, v)
+            over = base.counters(g, k)
+            av = bits_l[v.bit_length() - 1]
+            cand = outside_right & ~(over[k] | over[k - 1] & ~av)
+            keep, r_enum = base.right & av, base.right & ~av
+            n_keep = keep.bit_count()
+            near = []
+            for x in ids_of(left):
+                if not cand:
+                    break
+                ax = bits_l[x]
+                need = k - n_keep + (ax & keep).bit_count()
+                if need <= 0:
+                    cand &= ax
+                elif (r_enum & ~ax).bit_count() >= need:
+                    near.append((ax, need))
+            base.v, base.keep, base.cand, base.near = v, keep, cand, near
         cand = base.cand
         extra = right & ~base.keep  # R″
         for ax, need in base.near:
@@ -207,7 +180,6 @@ def _has_right_extension(
             if (extra & ~ax).bit_count() >= need:
                 cand &= ax
         return bool(cand)
-    bits_l = g.bits_l
     adj = [bits_l[x] for x in ids_of(left)]
     max_hits = right.bit_count() - k  # x is tight iff |Γ(x, R_loc)| ≤ this
     cand = outside_right
@@ -387,8 +359,9 @@ class SuccessorStep:
     The toggles are Fig 11's techniques; their defaults are the full
     iTraversal, and `VARIANTS` turns them off one by one.
     ``exclusion`` is the Berlowitz-style rule of the module docstring.
-    ``local_enum``: 'l2r2' | 'l1r2' | 'l2r1' | 'l1r1' (refined
-    EnumAlmostSat variants) or 'inflation' (bTraversal's implementation).
+    ``local_enum``: 'l2r2' (the refined EnumAlmostSat, L2.0+R2.0) or
+    'inflation' (bTraversal's implementation). Fig 12 times the other
+    refined variants on `almost_sat.enum_almost_sat` itself.
     ``theta``: an int or a (θ_L, θ_R) pair; only MBPs with both sides
     ≥ θ count, and the §5 prunings apply.
     ``deadline``: the run's ``time.monotonic()`` budget, which `traverse`
@@ -428,16 +401,12 @@ class SuccessorStep:
                     g, sol, v, k, side=side, deadline=deadline
                 ):
                     yield mask_of(a), mask_of(b)
-        else:
-            try:
-                l2 = {"l1": False, "l2": True}[self.local_enum[:2]]
-                r2 = {"r1": False, "r2": True}[self.local_enum[2:]]
-            except KeyError:
-                raise ValueError(f"unknown local_enum {self.local_enum!r}") from None
-
+        elif self.local_enum == "l2r2":
             def local(left, right, v, side, r_min, base):
-                return enum_almost_sat(g, left, right, v, k, side=side, l2=l2,
-                                       r2=r2, r_min=r_min, base=base)
+                return enum_almost_sat(g, left, right, v, k, side=side,
+                                       r_min=r_min, base=base)
+        else:
+            raise ValueError(f"unknown local_enum {self.local_enum!r}")
 
         self._local = local
         self._memo = _LocalMemo()
@@ -477,10 +446,8 @@ class SuccessorStep:
         check, the exclusion test and the extension to a maximal k-biplex.
         Yields a `Link` per surviving local solution.
 
-        What the anchors of H share is built once per expansion, lazily:
-        EnumAlmostSat's `ExpansionBase` (one per side) and the RS check's
-        `_RightBase`, which also keeps the state of the anchor whose local
-        solutions it is checking."""
+        What the anchors of one side of H share is one `ExpansionBase`,
+        which both EnumAlmostSat and the RS check read and build lazily."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
         local, memo = self._local, self._memo
@@ -489,14 +456,14 @@ class SuccessorStep:
         st.expansions += 1
         free_right = ((1 << n_right) - 1) & ~right
         outside_right = free_right if right_shrinking else 0
-        rs_base = _RightBase(left, right) if right_shrinking else None
         if self.left_anchored:
             free_right = 0  # no right anchors
         # ``processed`` holds the left anchors finished at this node; a
         # child's exclusion set is excl ∪ processed-so-far.
         processed = 0
         for side, free in (("L", ((1 << g.n_left) - 1) & ~left), ("R", free_right)):
-            base = ExpansionBase()
+            base = (ExpansionBase(left, right) if side == "L"
+                    else ExpansionBase(right, left))
             for v in ids_of(free):
                 bit = 1 << v
                 if side == "L":
@@ -538,7 +505,7 @@ class SuccessorStep:
                         ext = memo.get(key)
                         if ext is None:
                             ext = not _has_right_extension(
-                                g, loc_l, loc_r, k, outside_right, rs_base
+                                g, loc_l, loc_r, k, outside_right, base
                             )
                             memo.put(key, ext)
                         if ext is False:

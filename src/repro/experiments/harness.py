@@ -69,35 +69,6 @@ def consume(make_gen: Factory, budget_s: float, n: int | None = None) -> Run:
     return Run(status, count, seconds, max(max_gap, t_end - last))
 
 
-def time_first_n(make_gen: Factory, n: int | None, budget_s: float) -> dict:
-    """Time producing the first ``n`` solutions (the paper's standard
-    runtime measurement, after [4]).
-
-    Returns {'status': 'ok'|'INF'|'OUT', 'seconds': float|None, 'count'}.
-    """
-    run = consume(make_gen, budget_s, n)
-    return {"status": run.status, "seconds": run.seconds, "count": run.count}
-
-
-def measure_delay(make_gen: Factory, budget_s: float) -> dict:
-    """Max delay over a full enumeration (§3.5 definition).
-
-    Returns {'status', 'max_delay', 'mean_delay', 'observed_max_gap',
-    'count'}; INF when the enumeration does not finish within the budget.
-    A censored run's ``observed_max_gap`` is still a valid lower bound on
-    the delay (it includes the unfinished stall up to the cutoff).
-    """
-    run = consume(make_gen, budget_s)
-    ok = run.status == "ok"
-    return {
-        "status": run.status,
-        "max_delay": run.max_gap if ok else None,
-        "mean_delay": run.seconds / (run.count + 1) if ok else None,
-        "observed_max_gap": run.max_gap if run.status != OUT else None,
-        "count": run.count,
-    }
-
-
 def fmt_cell(value) -> str:
     if value is None:
         return "-"

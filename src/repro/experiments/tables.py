@@ -21,7 +21,7 @@ from ..bipartite.graph import BipartiteGraph
 from ..core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
 from ..core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
 from . import datasets
-from .harness import Factory, consume, measure_delay, time_first_n
+from .harness import OUT, Factory, consume
 
 # Default memory budget for FaPlexen's inflation step, in edges. 32 GB at
 # ~12 bytes/edge (the paper's OUT budget) would be ~2.7e9; scaled to this
@@ -91,15 +91,15 @@ def table2_runtime_real(
         for k in ks:
             factories = algorithms(g, k)
             for algo in algos:
-                res = time_first_n(factories[algo], n_solutions, budget_s)
+                run = consume(factories[algo], budget_s, n_solutions)
                 rows.append(
                     {
                         "dataset": name,
                         "k": k,
                         "algorithm": algo,
-                        "status": res["status"],
-                        "seconds": res["seconds"],
-                        "mbps_returned": res["count"],
+                        "status": run.status,
+                        "seconds": run.seconds,
+                        "mbps_returned": run.count,
                     }
                 )
     return rows
@@ -120,16 +120,18 @@ def table3_delay(
         for k in ks:
             factories = algorithms(g, k)
             for algo in algos:
-                res = measure_delay(factories[algo], budget_s)
+                run = consume(factories[algo], budget_s)
+                # A censored run's gap is still a lower bound on the delay
+                # (it includes the unfinished stall up to the cutoff).
                 rows.append(
                     {
                         "dataset": name,
                         "k": k,
                         "algorithm": algo,
-                        "status": res["status"],
-                        "max_delay_s": res["max_delay"],
-                        "observed_gap_s": res.get("observed_max_gap"),
-                        "mbps": res["count"],
+                        "status": run.status,
+                        "max_delay_s": run.max_gap if run.status == "ok" else None,
+                        "observed_gap_s": run.max_gap if run.status != OUT else None,
+                        "mbps": run.count,
                     }
                 )
     return rows
@@ -156,7 +158,7 @@ def table4_scalability(
         g = erdos_renyi_bipartite(n_vertices=n, density=density, seed=seed)
         factories = algorithms(g, k)
         for algo in algos:
-            res = time_first_n(factories[algo], n_solutions, budget_s)
+            run = consume(factories[algo], budget_s, n_solutions)
             rows.append(
                 {
                     "sweep": sweep,
@@ -164,9 +166,9 @@ def table4_scalability(
                     "density": density,
                     "k": k,
                     "algorithm": algo,
-                    "status": res["status"],
-                    "seconds": res["seconds"],
-                    "mbps_returned": res["count"],
+                    "status": run.status,
+                    "seconds": run.seconds,
+                    "mbps_returned": run.count,
                 }
             )
     return rows

@@ -16,7 +16,7 @@ from repro.baselines.inflation import faplexen
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.core.itraversal import btraversal, itraversal
 from repro.experiments import datasets, tables
-from repro.experiments.harness import INF, OUT, time_first_n
+from repro.experiments.harness import INF, OUT, consume
 
 BUDGET_S = 2.0
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -30,10 +30,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 def test_cell_ends_within_budget(name, algo):
     factory = tables.algorithms(datasets.load(name), 1)[algo]
     t0 = time.monotonic()
-    res = time_first_n(factory, None, BUDGET_S)
+    run = consume(factory, BUDGET_S)
     wall = time.monotonic() - t0
-    assert res["status"] in (INF, OUT)
-    assert res["seconds"] is None
+    assert run.status in (INF, OUT)
+    assert run.seconds is None
     assert wall <= BUDGET_S + 1.0
 
 

@@ -3,12 +3,7 @@ function at miniature scale (the jobs run the same code at full scale)."""
 import time
 
 from repro.experiments import datasets, tables
-from repro.experiments.harness import (
-    INF,
-    format_table,
-    measure_delay,
-    time_first_n,
-)
+from repro.experiments.harness import INF, consume, format_table
 
 
 # ------------------------------------------------------------- datasets
@@ -40,9 +35,9 @@ def test_specs_cover_paper_table1():
 
 # -------------------------------------------------------------- harness
 def test_time_first_n_ok():
-    res = time_first_n(lambda d: iter(range(100)), 10, 5)
-    assert res["status"] == "ok"
-    assert res["count"] == 10
+    run = consume(lambda d: iter(range(100)), 5, 10)
+    assert run.status == "ok"
+    assert run.count == 10
 
 
 def test_time_first_n_inf():
@@ -51,9 +46,9 @@ def test_time_first_n_inf():
         time.sleep(5)
         yield 2
 
-    res = time_first_n(lambda d: gen(), 2, 0.3)
-    assert res["status"] == INF
-    assert res["count"] == 1
+    run = consume(lambda d: gen(), 0.3, 2)
+    assert run.status == INF
+    assert run.count == 1
 
 
 def test_measure_delay_gaps():
@@ -62,16 +57,16 @@ def test_measure_delay_gaps():
         time.sleep(0.2)
         yield 2
 
-    res = measure_delay(lambda d: gen(), 5)
-    assert res["status"] == "ok"
-    assert res["count"] == 2
-    assert res["max_delay"] >= 0.15
+    run = consume(lambda d: gen(), 5)
+    assert run.status == "ok"
+    assert run.count == 2
+    assert run.max_gap >= 0.15
 
 
 def test_measure_delay_empty_enumeration():
-    res = measure_delay(lambda d: iter(()), 5)
-    assert res["status"] == "ok"
-    assert res["count"] == 0
+    run = consume(lambda d: iter(()), 5)
+    assert run.status == "ok"
+    assert run.count == 0
 
 
 def test_format_table_alignment():

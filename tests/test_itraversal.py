@@ -23,7 +23,7 @@ from repro.core.itraversal import (
     traverse,
 )
 
-from .test_golden import LOCAL_ENUMS, RANDOM_GRAPHS
+from .test_golden import LOCAL_ENUMS, RANDOM_GRAPHS, use_local_enum
 
 
 def keys(it):
@@ -50,12 +50,16 @@ def test_configs_match_bruteforce(name, cfg, k, seed, p):
     assert got == want, f"{name} diverged from brute force"
 
 
-@pytest.mark.parametrize("local_enum", ["l1r1", "l1r2", "l2r1", "l2r2", "inflation"])
+@pytest.mark.parametrize("local_enum", [*LOCAL_ENUMS, "inflation"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_local_enum_variants_complete(local_enum, k):
+def test_local_enum_variants_complete(monkeypatch, local_enum, k):
     g = random_bipartite_gnp(n_left=5, n_right=4, p=0.5, seed=5)
     want = all_maximal_kbiplexes(g, k)
-    assert keys(itraversal(g, k, local_enum=local_enum)) == want
+    if local_enum == "inflation":
+        assert keys(itraversal(g, k, local_enum=local_enum)) == want
+    else:
+        use_local_enum(monkeypatch, local_enum)
+        assert keys(itraversal(g, k)) == want
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -110,7 +114,7 @@ def test_stats_populated():
     assert d["solutions"] == n
 
 
-def right_shrinking_runs(local_enum):
+def right_shrinking_runs():
     """Emitted sequence and stats of the two variants with right-shrinking
     (the ones whose step keeps a local-solution memo) on the golden graphs."""
     out = []
@@ -119,8 +123,7 @@ def right_shrinking_runs(local_enum):
         for k in (1, 2):
             for name in ("iTraversal-ES", "iTraversal"):
                 st_ = TraversalStats()
-                seq = [solution_key(s) for s in VARIANTS[name](
-                    g, k, local_enum=local_enum, stats=st_)]
+                seq = [solution_key(s) for s in VARIANTS[name](g, k, stats=st_)]
                 out.append((seq, st_.as_dict()))
     return out
 
@@ -139,10 +142,11 @@ def test_memo_generation_size_changes_nothing(monkeypatch, local_enum, size):
         return rs_check(*args)
 
     monkeypatch.setattr(itr, "_has_right_extension", counted)
-    want = right_shrinking_runs(local_enum)
+    use_local_enum(monkeypatch, local_enum)
+    want = right_shrinking_runs()
     default_calls, calls[0] = calls[0], 0
     monkeypatch.setattr(itr, "_MEMO_GENERATION", size)
-    assert right_shrinking_runs(local_enum) == want
+    assert right_shrinking_runs() == want
     # Without θ every local solution reaches the RS check.
     checked = sum(st_["local_solutions"] for _, st_ in want)
     assert default_calls < calls[0] <= checked
@@ -163,6 +167,8 @@ def test_invalid_configs_rejected():
         list(traverse(g, 1, exclusion="candidate"))
     with pytest.raises(ValueError):
         list(traverse(g, 1, local_enum="l3r9"))
+    with pytest.raises(ValueError):  # Fig 12's other variants: almost_sat only
+        list(traverse(g, 1, local_enum="l1r1"))
     with pytest.raises(ValueError):
         list(
             traverse(g, 1, theta=2, right_shrinking=False, left_anchored=True,

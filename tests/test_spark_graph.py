@@ -1,16 +1,11 @@
-"""Tests for Spark graph I/O — degree pipelines checked by the DuckDB oracle."""
+"""Tests for Spark graph I/O: the edge DataFrame and its Table 1 counts,
+checked against the local graph and DuckDB."""
 import pandas as pd
 import pytest
 
 from repro.bipartite.generators import powerlaw_bipartite, random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph
-from repro.bipartite.spark_graph import (
-    degrees,
-    edges_to_spark,
-    graph_stats,
-    spark_to_graph,
-)
-from repro.oracle import assert_equivalent
+from repro.bipartite.spark_graph import edges_to_spark, graph_stats
 
 
 @pytest.fixture(scope="module")
@@ -28,38 +23,15 @@ def _edges_pdf(g):
 
 
 def test_roundtrip(spark, g, edges):
-    g2 = spark_to_graph(edges, n_left=g.n_left, n_right=g.n_right)
-    assert g2.edges() == g.edges()
+    rows = edges.select("src", "dst").collect()
+    assert sorted((r["src"], r["dst"]) for r in rows) == g.edges()
 
 
 def test_roundtrip_empty(spark):
     g = BipartiteGraph.from_edges([], n_left=2, n_right=2)
     df = edges_to_spark(spark, g)
     assert df.count() == 0
-    g2 = spark_to_graph(df, n_left=2, n_right=2)
-    assert g2.n_edges == 0
-
-
-def test_degrees_against_duckdb(spark, g, edges):
-    got = degrees(edges)
-    assert_equivalent(
-        got,
-        """
-        SELECT 'L' AS side, src AS id, count(*) AS degree FROM e GROUP BY src
-        UNION ALL
-        SELECT 'R' AS side, dst AS id, count(*) AS degree FROM e GROUP BY dst
-        """,
-        e=_edges_pdf(g),
-    )
-
-
-def test_degrees_match_local(spark, g, edges):
-    pdf = degrees(edges).toPandas()
-    for _, row in pdf.iterrows():
-        if row["side"] == "L":
-            assert row["degree"] == g.degree_left(int(row["id"]))
-        else:
-            assert row["degree"] == g.degree_right(int(row["id"]))
+    assert df.columns == ["src", "dst"]
 
 
 def test_graph_stats(spark, g, edges):
