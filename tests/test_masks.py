@@ -245,17 +245,40 @@ def maximal_h(data, g, k):
     return grow(g, frozenset(), frozenset(), k, order)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=graphs(), k=st.integers(1, 3))
+def test_expansion_base_matches_slack_test(data, g, k):
+    """The §4.2 split that all anchors of H share equals the per-vertex
+    slack test of each anchor, and sharing it leaves every anchor's local
+    solutions and their order unchanged. The base's counters hold
+    c(u) = |L \\ Γ(u)| for every right vertex."""
+    drawn = data.draw(anchored(g, k, "L", 12, min_size=4))
+    if drawn is None:
+        return
+    (left, right), _ = drawn
+    lm, rm = mask_of(left), mask_of(right)
+    base = ExpansionBase(lm, rm)
+    anchors = [x for x in range(g.n_left) if x not in left][:6]
+    for x in anchors:
+        shared = list(enum_local(g, lm, rm, x, k, base=base))
+        assert shared == list(enum_local(g, lm, rm, x, k))
+        r_enum = right - g.adj_l[x]
+        r1 = {u for u in r_enum if len(left) - len(g.adj_r[u] & left) <= k - 1}
+        assert set(ids_of(mask_of(r_enum) & ~base.over[k - 1])) == r1
+    if base.over is not None:
+        misses = [len(left - g.adj_r[u]) for u in range(g.n_right)]
+        assert [set(ids_of(o)) for o in base.over] == [
+            {u for u, c in enumerate(misses) if c > j} for j in range(k + 1)]
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), g=graphs(), k=st.integers(1, 3))
-def test_expansion_base_matches_standalone(data, g, k):
-    """One `ExpansionBase`, shared by EnumAlmostSat and the RS check across
-    up to 6 anchors of a maximal H in the step's order, changes no answer:
-    its counters hold c(u) = |L \\ Γ(u)| for every right vertex; each
-    anchor's local solutions and their order equal an unshared call's, and
-    its §4.2 split equals the per-vertex slack test; and the RS check with
-    the base equals the check without it on every local solution, both
-    those with L' = L ∪ {v} (which read the base) and the removal-path ones
-    (which take the standalone formula)."""
+def test_rs_base_matches_standalone(data, g, k):
+    """The RS check with the `ExpansionBase` one expansion shares with
+    EnumAlmostSat equals the check without it on every local solution of
+    every anchor, in the step's order: those with L' = L ∪ {v} (which read
+    the base) and the removal-path ones (which take the standalone
+    formula)."""
     left, right = maximal_h(data, g, k)
     lm, rm = mask_of(left), mask_of(right)
     outside = ((1 << g.n_right) - 1) & ~rm
@@ -264,17 +287,7 @@ def test_expansion_base_matches_standalone(data, g, k):
         st.sampled_from(sorted(set(range(g.n_left)) - left)), max_size=6))
         if g.n_left > len(left) else ())
     for v in anchors:
-        shared = []
         for loc_l, loc_r in enum_local(g, lm, rm, v, k, base=base):
-            shared.append((loc_l, loc_r))
             event("L' = L ∪ {v}" if loc_l == lm | 1 << v else "removal path")
             assert _has_right_extension(g, loc_l, loc_r, k, outside, base) is (
                 _has_right_extension(g, loc_l, loc_r, k, outside))
-        assert shared == list(enum_local(g, lm, rm, v, k))
-        r_enum = right - g.adj_l[v]
-        r1 = {u for u in r_enum if len(left) - len(g.adj_r[u] & left) <= k - 1}
-        assert set(ids_of(mask_of(r_enum) & ~base.over[k - 1])) == r1
-    if base.over is not None:
-        misses = [len(left - g.adj_r[u]) for u in range(g.n_right)]
-        assert [set(ids_of(o)) for o in base.over] == [
-            {u for u, c in enumerate(misses) if c > j} for j in range(k + 1)]
