@@ -21,10 +21,11 @@ skip candidates that provably fail), which the tests assert against the
 brute-force reference `enum_almost_sat_brute`. They run on int bitmasks
 (`enum_local`, the kernel the traversal engine calls); `enum_almost_sat`
 is its frozenset front end. The §4.2 split of R by slack against L does
-not depend on the anchor, so the engine passes one `ExpansionBase` to
-every anchor of one side of H: the misses against L are counted once, and
-each anchor takes its R¹_enum and R²_enum with two mask ANDs against
-R \\ Γ(v).
+not depend on the anchor, so the engine builds one `ExpansionBase` per
+side of H, whose misses against L are counted once, and one `Anchor` per
+anchor v, which splits R into R ∩ Γ(v) and R \\ Γ(v) once for
+EnumAlmostSat and the checks on its local solutions; each anchor takes its
+R¹_enum and R²_enum with two mask ANDs.
 
 `enum_almost_sat_inflation` is the baseline implementation used by
 bTraversal and by Fig 12's "Inflation" bar: inflate the almost-satisfying
@@ -62,9 +63,11 @@ def _addable(ax: int, grow: int, fixed: int, adj_fixed: list[int],
 
 
 class ExpansionBase:
-    """What the anchors of one side of H = (L, R) share: for every vertex u
-    of the other side, c(u) = |L \\ Γ(u)|, the number of vertices of L it
-    misses, which does not depend on the anchor.
+    """What the anchors of one side of H = (L, R) share, in that side's
+    frame: ``g`` has the anchors on its left (the transpose for right
+    anchors) and (``left``, ``right``) is H seen from there. For every
+    vertex u of the other side, c(u) = |L \\ Γ(u)|, the number of vertices
+    of L it misses, does not depend on the anchor.
 
     ``over`` holds `at_least`'s k+1 saturating counters of c(u) over the
     whole other side (``over[j]``: the u with c(u) > j), built by the first
@@ -72,21 +75,18 @@ class ExpansionBase:
     step read them: EnumAlmostSat's §4.2 split takes R² before v's
     neighbours are taken out (c(u) ≥ k) as ``over[k-1] & R``, and the
     right-shrinking check (`itraversal._has_right_extension`) reads them
-    outside R. That check also keeps here the state of the anchor whose
-    local solutions it is checking: ``v`` (the anchor's bit), ``keep``,
-    ``cand`` and ``near``.
+    outside R.
     """
 
-    __slots__ = ("left", "right", "over", "v", "keep", "cand", "near")
+    __slots__ = ("g", "k", "left", "right", "over")
 
-    def __init__(self, left: int, right: int) -> None:
-        self.left, self.right = left, right
+    def __init__(self, g: BipartiteGraph, k: int, left: int, right: int) -> None:
+        self.g, self.k, self.left, self.right = g, k, left, right
         self.over: list[int] | None = None
-        self.v = self.keep = self.cand = 0
-        self.near: list[tuple[int, int]] = []
 
-    def counters(self, g: BipartiteGraph, k: int) -> list[int]:
+    def counters(self) -> list[int]:
         if self.over is None:
+            g, k = self.g, self.k
             full, bits_l = (1 << g.n_right) - 1, g.bits_l
             self.over = [0] * (k + 1)
             at_least([full & ~bits_l[x] for x in ids_of(self.left)], k + 1,
@@ -94,36 +94,49 @@ class ExpansionBase:
         return self.over
 
 
-def _enum_left(
-    g: BipartiteGraph,
-    left: int,
-    right: int,
-    v: int,
-    k: int,
-    *,
-    l2: bool,
-    r2: bool,
-    r_min: int = 0,
-    base: ExpansionBase | None = None,
-) -> Iterator[MaskPair]:
-    """Local solutions of the almost-satisfying graph (L ∪ {v}, R), v ∈ 𝓛.
+class Anchor:
+    """An anchor v of an `ExpansionBase`'s H = (L, R), and what its local
+    solutions share. By Lemma 4.1 every local solution (L', R') keeps all
+    of ``keep`` = R ∩ Γ(v) and adds at most k vertices of ``enum`` =
+    R \\ Γ(v).
 
-    Sides are masks. Precondition: (left, right) is a k-biplex of ``g``.
-    ``r_min`` prunes enumerations whose right side would end below the
-    threshold (large-MBP "local solution pruning", §5). ``base`` is the
-    `ExpansionBase` of (left, right) that its other anchors share; without
-    one the call builds its own.
+    The successor step builds one per anchor and hands it to EnumAlmostSat
+    and to the two checks on its local solutions, which keep their own
+    per-anchor state here, built on the anchor's first check: ``rs``, the
+    right-shrinking check's candidate set and near-tight list
+    (`itraversal._has_right_extension`), and ``pot``, the θ-potential
+    check's neighbour masks, counters and dead flag
+    (`itraversal._theta_potential_ok`).
     """
+
+    __slots__ = ("base", "v", "keep", "enum", "rs", "pot")
+
+    def __init__(self, base: ExpansionBase, v: int) -> None:
+        self.base, self.v = base, v
+        adjv = base.g.bits_l[v]
+        self.keep, self.enum = base.right & adjv, base.right & ~adjv
+        self.rs: tuple[int, list[tuple[int, int]]] | None = None
+        self.pot: tuple[list[int], list[int], bool] | None = None
+
+
+def _enum_left(
+    anchor: Anchor, *, l2: bool, r2: bool, r_min: int = 0
+) -> Iterator[MaskPair]:
+    """Local solutions of the almost-satisfying graph (L ∪ {v}, R) of
+    ``anchor``, in its base's frame.
+
+    Precondition: (L, R) is a k-biplex. ``r_min`` prunes enumerations whose
+    right side would end below the threshold (large-MBP "local solution
+    pruning", §5).
+    """
+    base = anchor.base
+    g, k, left, v = base.g, base.k, base.left, anchor.v
     bits_l, bits_r = g.bits_l, g.bits_r
-    if base is None:
-        base = ExpansionBase(left, right)
-    adjv = bits_l[v]
-    r_keep = right & adjv          # Lemma 4.1: in every local solution
-    r_enum = right & ~adjv
+    r_keep, r_enum = anchor.keep, anchor.enum  # Lemma 4.1
     n_keep = r_keep.bit_count()
     # §4.2 partition of R_enum by slack against L, as single-bit masks so
     # that a pick's sum is its mask.
-    r2_mask = r_enum & base.counters(g, k)[k - 1]
+    r2_mask = r_enum & base.counters()[k - 1]
     r1 = [1 << u for u in ids_of(r_enum & ~r2_mask)]
     r2_part = [1 << u for u in ids_of(r2_mask)]
     n_r1, n_r2 = len(r1), len(r2_part)
@@ -228,22 +241,22 @@ def enum_local(
     l2: bool = True,
     r2: bool = True,
     r_min: int = 0,
-    base: ExpansionBase | None = None,
+    anchor: Anchor | None = None,
 ) -> Iterator[MaskPair]:
     """`enum_almost_sat` on masks: H = (left, right), local solutions as
-    mask pairs. This is the kernel the traversal engine calls; it passes
-    one ``base`` to every anchor of one side of H, built in that side's
-    frame (``ExpansionBase(right, left)`` for ``side='R'``)."""
-    if side == "L":
-        return _enum_left(g, left, right, v, k, l2=l2, r2=r2, r_min=r_min,
-                          base=base)
-    if side == "R":
-        if r_min:
-            raise ValueError("r_min (θ pruning) is defined for side='L' only")
-        swapped = _enum_left(g.transpose(), right, left, v, k, l2=l2, r2=r2,
-                             base=base)
-        return ((b, a) for a, b in swapped)
-    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    mask pairs. This is the kernel the traversal engine calls, with the
+    ``anchor`` it built for v in v's side's frame (for ``side='R'`` on the
+    transpose, where H is (right, left)); without one the call builds its
+    own."""
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    if side == "R" and r_min:
+        raise ValueError("r_min (θ pruning) is defined for side='L' only")
+    if anchor is None:
+        anchor = Anchor(ExpansionBase(g, k, left, right) if side == "L"
+                        else ExpansionBase(g.transpose(), k, right, left), v)
+    local = _enum_left(anchor, l2=l2, r2=r2, r_min=r_min)
+    return local if side == "L" else ((b, a) for a, b in local)
 
 
 def enum_almost_sat(

@@ -41,16 +41,17 @@ pair alone. The RS check asks whether some u ∈ 𝓡 \\ R can join (L', R');
 since R \\ R' holds only vertices that local maximality already ruled out,
 that is "is (L', R') right-maximal in G?", whatever H it came from. The
 left-only extension is a function of the pair too. So each right-shrinking
-`SuccessorStep` keeps one `_LocalMemo` of these outcomes, keyed on the
-masks, in two generations of a fixed size; a repeat counts every counter
+`SuccessorStep` keeps one dict of these outcomes, keyed on the masks and
+cleared when it holds `_MEMO_SIZE` entries; a repeat counts every counter
 a first visit would, so output and `TraversalStats` do not change.
 
 Shared bases. What the anchors of one expansion, or the local solutions
 of one anchor, have in common is computed once, by the first kernel that
 reads it: each side of H has one `almost_sat.ExpansionBase`, whose
 counters of c(u) = |L \\ Γ(u)| give both EnumAlmostSat's slack split of R
-and the RS check's test outside R, and which holds the RS check's
-per-anchor tight set; θ mode has `_AnchorPotential`.
+and the RS check's test outside R; each anchor v has one
+`almost_sat.Anchor`, which splits R at Γ(v) once (Lemma 4.1) and holds
+the RS check's and the θ-potential check's per-anchor state.
 Links stay masks: the DFS's visited set holds packed mask ints, and only
 a new MBP becomes frozensets.
 """
@@ -76,7 +77,7 @@ from ..bipartite.graph import (
 # would fail without it.
 from ..bipartite.graph import solution_key  # noqa: F401
 from ..bipartite.predicates import normalize_k, normalize_theta
-from .almost_sat import ExpansionBase, enum_almost_sat_inflation
+from .almost_sat import Anchor, ExpansionBase, enum_almost_sat_inflation
 # The per-item layers of the successor step are called through these module
 # globals, looked up at call time, so a tracer can wrap them. The mask
 # kernels keep the names of the frozenset APIs they implement.
@@ -120,7 +121,7 @@ def _has_right_extension(
     right: int,
     k: int,
     outside_right: int,
-    base: ExpansionBase | None = None,
+    anchor: Anchor | None = None,
 ) -> bool:
     """Algorithm 2 line 7: ∃ u ∈ 𝓡 \\ V(H_loc) with H_loc ∪ {u} a k-biplex?
 
@@ -134,11 +135,11 @@ def _has_right_extension(
     * u itself may miss at most k of L_loc: u must lie outside the bits
       that at least k+1 of the masks 𝓡 \\ Γ(x) (x ∈ L_loc) share.
 
-    ``base`` is the `ExpansionBase` of the H = (L, R) that H_loc is a
-    local solution of. Every local solution of a left anchor v has
-    R_loc = R_keep ∪ R″ with R_keep = R ∩ Γ(v) (Lemma 4.1), so for
-    L_loc = L ∪ {v} both conditions come from state the anchor's local
-    solutions share, built on the anchor's first such check:
+    ``anchor`` is the `Anchor` v of H = (L, R) that H_loc is a local
+    solution of. Every local solution of v has R_loc = R_keep ∪ R″ with
+    R_keep = R ∩ Γ(v) (Lemma 4.1), so for L_loc = L ∪ {v} both conditions
+    come from state the anchor's local solutions share, ``anchor.rs``,
+    built on the anchor's first such check:
 
     * ``cand``: the u ∈ 𝓡 \\ R with c(u) + [u ∉ Γ(v)] ≤ k, read off the
       base's counters, ANDed with the neighbour masks of the x already
@@ -153,14 +154,11 @@ def _has_right_extension(
     if not outside_right:
         return False
     bits_l = g.bits_l
-    if base is not None and left & base.left == base.left:
-        v = left & ~base.left
-        if base.v != v:
-            over = base.counters(g, k)
-            av = bits_l[v.bit_length() - 1]
-            cand = outside_right & ~(over[k] | over[k - 1] & ~av)
-            keep, r_enum = base.right & av, base.right & ~av
-            n_keep = keep.bit_count()
+    if anchor is not None and left == anchor.base.left | 1 << anchor.v:
+        if anchor.rs is None:
+            over = anchor.base.counters()
+            keep, n_keep = anchor.keep, anchor.keep.bit_count()
+            cand = outside_right & ~(over[k] | over[k - 1] & ~bits_l[anchor.v])
             near = []
             for x in ids_of(left):
                 if not cand:
@@ -169,12 +167,12 @@ def _has_right_extension(
                 need = k - n_keep + (ax & keep).bit_count()
                 if need <= 0:
                     cand &= ax
-                elif (r_enum & ~ax).bit_count() >= need:
+                elif (anchor.enum & ~ax).bit_count() >= need:
                     near.append((ax, need))
-            base.v, base.keep, base.cand, base.near = v, keep, cand, near
-        cand = base.cand
-        extra = right & ~base.keep  # R″
-        for ax, need in base.near:
+            anchor.rs = cand, near
+        cand, near = anchor.rs
+        extra = right & ~anchor.keep  # R″
+        for ax, need in near:
             if not cand:
                 return False
             if (extra & ~ax).bit_count() >= need:
@@ -191,66 +189,20 @@ def _has_right_extension(
     return bool(cand & ~at_least([cand & ~ax for ax in adj], k + 1))
 
 
-# Entries per generation of `_LocalMemo`.
-_MEMO_GENERATION = 4096
+# Entries the step's local-solution memo holds before it is cleared.
+_MEMO_SIZE = 8192
 
 
-class _LocalMemo:
-    """The parent-independent outcome of each local solution (L', R') a
-    right-shrinking step has seen: False (RS-pruned), True (passes the RS
-    check; extension not computed yet) or the masks of its left-only
-    extension. The key is the pair's masks packed into one int,
-    L' << |𝓡| | R', which takes about a third of the memory of a tuple.
-
-    Two generations bound the memory: when ``young`` holds
-    `_MEMO_GENERATION` entries it becomes ``old`` and a new ``young``
-    starts; a hit in ``old`` moves back to ``young``. Repeats are local in
-    the traversal, so the few that fall out of both only cost a recount.
-    """
-
-    __slots__ = ("young", "old")
-
-    def __init__(self) -> None:
-        self.young: dict[int, bool | MaskPair] = {}
-        self.old: dict[int, bool | MaskPair] = {}
-
-    def get(self, key: int) -> bool | MaskPair | None:
-        out = self.young.get(key)
-        if out is None:
-            out = self.old.get(key)
-            if out is not None:
-                self.put(key, out)
-        return out
-
-    def put(self, key: int, out: bool | MaskPair) -> None:
-        young = self.young
-        if len(young) >= _MEMO_GENERATION and key not in young:
-            self.old = young
-            self.young = young = {}
-        young[key] = out
-
-
-class _AnchorPotential:
-    """θ-potential state of one left anchor, shared by its local solutions.
-
-    Every local solution (L', R') of an anchor v of H = (L, R) has
-    R' = R_keep ∪ R'' with R_keep = R ∩ Γ(v) and R'' ⊆ R \\ Γ(v),
-    |R''| ≤ k (Lemma 4.1). So `at_least`'s counters are built once over
-    the neighbour masks of ``keep`` (R_keep), and each local solution adds
-    its at most ``slack`` (k) masks to a copy of them. The same counters
-    bound every local solution at once (`_potential_bound`); when the bound
-    fails the anchor is ``dead`` and each of its local solutions fails the
-    check without a count. `_potential_ok` builds the state on its first
-    call with it; the state holds for one (k, θ_L, θ_R, excluded) only.
-    """
-
-    __slots__ = ("keep", "slack", "adj", "over", "dead")
-
-    def __init__(self, keep: int, slack: int) -> None:
-        self.keep, self.slack = keep, slack
-        self.adj: list[int] | None = None  # neighbour masks of ``keep``
-        self.over: list[int] = []  # at_least counters over ``adj``
-        self.dead = False
+def _potential_counters(
+    g: BipartiteGraph, right: int, k: int, theta_r: int
+) -> tuple[list[int], list[int]]:
+    """The neighbour masks of ``right`` and the θ_R − k `at_least`
+    counters over them, which `_potential_bound` reads."""
+    adj = [g.bits_r[u] for u in ids_of(right)]
+    over = [0] * max(theta_r - k, 0)
+    if over:
+        at_least(adj, len(over), over)
+    return adj, over
 
 
 def _potential_bound(
@@ -290,7 +242,6 @@ def _potential_ok(
     theta_l: int,
     theta_r: int,
     excluded: int,
-    anchor: _AnchorPotential | None = None,
 ) -> bool:
     """Can any MBP with sides ≥ (θ_L, θ_R) and no vertex of ``excluded``
     have its right side inside ``right``? (Both masks.)
@@ -300,33 +251,8 @@ def _potential_ok(
     |R''| − k ≥ θ_R − k, so L'' lies inside the potential set P; and
     every u ∈ R'' has δ(u, L'') ≥ θ_L − k with L'' ⊆ P. P is counted on
     the right side's neighbour masks (`at_least`), not by a scan of 𝓛.
-
-    ``anchor`` is the state ``right`` shares with the other local
-    solutions of its anchor; without one, ``right`` is its own base with
-    no vertex outside it.
     """
-    if anchor is None:
-        anchor = _AnchorPotential(right, 0)
-    bits_r = g.bits_r
-    if anchor.adj is None:
-        anchor.adj = [bits_r[u] for u in ids_of(anchor.keep)]
-        if theta_r > k:
-            anchor.over = [0] * (theta_r - k)
-            at_least(anchor.adj, theta_r - k, anchor.over)
-        anchor.dead = not _potential_bound(
-            g, anchor.adj, anchor.over, k, theta_l, theta_r, excluded, anchor.slack
-        )
-    if anchor.dead:
-        return False
-    if not anchor.slack:  # ``right`` is the base: the bound was exact
-        return True
-    adj, over = anchor.adj, anchor.over
-    extra = [bits_r[u] for u in ids_of(right & ~anchor.keep)]
-    if extra:
-        over = over[:]  # the anchor's own counters serve its other solutions
-        if over:
-            at_least(extra, len(over), over)
-        adj = adj + extra
+    adj, over = _potential_counters(g, right, k, theta_r)
     return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded, 0)
 
 
@@ -336,12 +262,36 @@ def _theta_potential_ok(
     k: int,
     theta_l: int,
     theta_r: int,
-    anchor: _AnchorPotential | None = None,
+    anchor: Anchor | None = None,
 ) -> bool:
-    """`_potential_ok` for one local solution's right side. A global of its
-    own so that tracing times this use, and the build of ``anchor``'s
-    state on its first call, apart from `SuccessorStep.expandable`."""
-    return _potential_ok(g, right, k, theta_l, theta_r, 0, anchor)
+    """`_potential_ok` for one local solution's right side, with no
+    exclusion set. A global of its own so that tracing times this use apart
+    from `SuccessorStep.expandable`.
+
+    With the ``anchor`` the local solution came from, its right side is
+    R_keep ∪ R″ with |R″| ≤ k (Lemma 4.1), so ``anchor.pot`` holds, built
+    on the anchor's first check, R_keep's neighbour masks and counters,
+    and whether the bound over all its local solutions (slack k) already
+    fails (the anchor is dead). Each local solution then adds its at most
+    k masks of R″ to a copy of the counters.
+    """
+    if anchor is None:
+        return _potential_ok(g, right, k, theta_l, theta_r, 0)
+    if anchor.pot is None:
+        adj, over = _potential_counters(g, anchor.keep, k, theta_r)
+        dead = not _potential_bound(g, adj, over, k, theta_l, theta_r, 0, k)
+        anchor.pot = adj, over, dead
+    adj, over, dead = anchor.pot
+    if dead:
+        return False
+    bits_r = g.bits_r
+    extra = [bits_r[u] for u in ids_of(right & ~anchor.keep)]
+    if extra:
+        over = over[:]  # the anchor's own counters serve its other solutions
+        if over:
+            at_least(extra, len(over), over)
+        adj = adj + extra
+    return _potential_bound(g, adj, over, k, theta_l, theta_r, 0, 0)
 
 
 @dataclass
@@ -383,8 +333,9 @@ class SuccessorStep:
     def __post_init__(self) -> None:
         self.k = normalize_k(self.k)
         self.theta = normalize_theta(self.theta)
-        if not isinstance(self.exclusion, bool):
-            raise ValueError(f"exclusion must be a bool, got {self.exclusion!r}")
+        for name in ("left_anchored", "right_shrinking", "exclusion"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.right_shrinking and not self.left_anchored:
             raise ValueError("right-shrinking traversal builds on left-anchored")
         if self.exclusion and not self.left_anchored:
@@ -393,7 +344,7 @@ class SuccessorStep:
             raise ValueError("θ pruning requires the full iTraversal prunings")
         g, k, deadline = self.g, self.k, self.deadline
         if self.local_enum == "inflation":
-            def local(left, right, v, side, r_min, base):
+            def local(left, right, v, side, r_min, anchor):
                 if deadline is not None and time.monotonic() > deadline:
                     return
                 sol = masks_to_solution(left, right)
@@ -402,14 +353,19 @@ class SuccessorStep:
                 ):
                     yield mask_of(a), mask_of(b)
         elif self.local_enum == "l2r2":
-            def local(left, right, v, side, r_min, base):
+            def local(left, right, v, side, r_min, anchor):
                 return enum_almost_sat(g, left, right, v, k, side=side,
-                                       r_min=r_min, base=base)
+                                       r_min=r_min, anchor=anchor)
         else:
             raise ValueError(f"unknown local_enum {self.local_enum!r}")
 
         self._local = local
-        self._memo = _LocalMemo()
+        # Each side's anchors and the graph they are the left side of:
+        # right anchors (bTraversal only) live on the transpose.
+        self._sides = [("L", g)]
+        if not self.left_anchored:
+            self._sides.append(("R", g.transpose()))
+        self._memo: dict[int, bool | MaskPair] = {}
 
     def root(self) -> Solution:
         """H0: right-full for left-anchored traversal (§3.2), else any MBP."""
@@ -441,49 +397,43 @@ class SuccessorStep:
 
     def __call__(self, left: int, right: int, excl: int) -> Iterator[Link]:
         """For every anchor of H = (``left``, ``right``) with exclusion set
-        ``excl`` (left vertices, plus right ones for bTraversal): the §4
-        local solutions, the θ-potential check, the §3.4 right-shrinking
-        check, the exclusion test and the extension to a maximal k-biplex.
-        Yields a `Link` per surviving local solution.
+        ``excl`` (left vertices): the §4 local solutions, the θ-potential
+        check, the §3.4 right-shrinking check, the exclusion test and the
+        extension to a maximal k-biplex. Yields a `Link` per surviving
+        local solution.
 
-        What the anchors of one side of H share is one `ExpansionBase`,
-        which both EnumAlmostSat and the RS check read and build lazily."""
+        The anchors of one side of H share one `ExpansionBase`; each anchor
+        is one `Anchor`, which EnumAlmostSat and both checks read and fill
+        lazily."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
         local, memo = self._local, self._memo
-        bits_l, n_right = g.bits_l, g.n_right
+        n_right = g.n_right
         theta_l, theta_r = theta if theta is not None else (0, 0)
         st.expansions += 1
-        free_right = ((1 << n_right) - 1) & ~right
-        outside_right = free_right if right_shrinking else 0
-        if self.left_anchored:
-            free_right = 0  # no right anchors
-        # ``processed`` holds the left anchors finished at this node; a
-        # child's exclusion set is excl ∪ processed-so-far.
+        outside_right = ((1 << n_right) - 1) & ~right if right_shrinking else 0
+        # ``processed`` holds the anchors finished at this node; a child's
+        # exclusion set is excl ∪ processed-so-far. Exclusion and θ anchor
+        # on the left only, so they never meet a right anchor.
         processed = 0
-        for side, free in (("L", ((1 << g.n_left) - 1) & ~left), ("R", free_right)):
-            base = (ExpansionBase(left, right) if side == "L"
-                    else ExpansionBase(right, left))
-            for v in ids_of(free):
+        for side, sg in self._sides:
+            base = (ExpansionBase(sg, k, left, right) if side == "L"
+                    else ExpansionBase(sg, k, right, left))
+            for v in ids_of(((1 << sg.n_left) - 1) & ~base.left):
                 bit = 1 << v
-                if side == "L":
-                    if exclusion and excl & bit:
-                        processed |= bit
-                        continue
-                    # §5 right-side pruning (1): any solution below this
-                    # anchor keeps ≤ δ(v,R)+k right vertices.
-                    if (theta is not None
-                            and (bits_l[v] & right).bit_count() + k < theta_r):
-                        processed |= bit
-                        continue
+                if exclusion and excl & bit:
+                    processed |= bit
+                    continue
+                anchor = Anchor(base, v)
+                # §5 right-side pruning (1): any solution below this anchor
+                # keeps ≤ δ(v,R)+k right vertices.
+                if theta is not None and anchor.keep.bit_count() + k < theta_r:
+                    processed |= bit
+                    continue
                 banned = excl | processed
                 child_excl = banned if exclusion else excl
-                # θ mode anchors only on the left (right-shrinking), so
-                # R_keep = R ∩ Γ(v) is the base of every local solution.
-                anchor = (_AnchorPotential(bits_l[v] & right, k)
-                          if theta is not None else None)
                 st.almost_sat_calls += 1
-                for loc_l, loc_r in local(left, right, v, side, theta_r, base):
+                for loc_l, loc_r in local(left, right, v, side, theta_r, anchor):
                     st.local_solutions += 1
                     if theta is not None and not _theta_potential_ok(
                         g, loc_r, k, theta_l, theta_r, anchor
@@ -499,15 +449,17 @@ class SuccessorStep:
                     if right_shrinking:
                         # The RS verdict and the left-only extension depend
                         # on (L', R') alone (module docstring), so a repeat
-                        # reuses them. ``ext`` holds a `_LocalMemo` value
-                        # until the extension is known.
+                        # reuses them. ``ext`` holds False (RS-pruned) or
+                        # True until the extension is known.
                         key = loc_l << n_right | loc_r
                         ext = memo.get(key)
                         if ext is None:
                             ext = not _has_right_extension(
-                                g, loc_l, loc_r, k, outside_right, base
+                                g, loc_l, loc_r, k, outside_right, anchor
                             )
-                            memo.put(key, ext)
+                            if len(memo) >= _MEMO_SIZE:
+                                memo.clear()
+                            memo[key] = ext
                         if ext is False:
                             st.pruned_right_shrinking += 1
                             continue
@@ -524,14 +476,13 @@ class SuccessorStep:
                             g, loc_l, loc_r, k, allow_right=not right_shrinking
                         )
                         if right_shrinking:
-                            memo.put(key, ext)
+                            memo[key] = ext
                     if exclusion and ext[0] & banned:
                         st.pruned_exclusion += 1
                         continue
                     st.links += 1
                     yield ext, child_excl
-                if side == "L":
-                    processed |= bit
+                processed |= bit
 
 
 def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:

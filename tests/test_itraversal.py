@@ -131,22 +131,35 @@ def right_shrinking_runs():
 @pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("local_enum", LOCAL_ENUMS)
 def test_memo_generation_size_changes_nothing(monkeypatch, local_enum, size):
-    """The step's local-solution memo rotates its generations every
-    ``size`` stores: the sequence and every counter stay those of the
-    default size, and a smaller memo only answers fewer repeats."""
-    calls = [0]
+    """The step's local-solution memo is cleared whenever it holds
+    ``size`` entries: it never holds more, the sequence and every counter
+    stay those of the default size, and a smaller memo only answers fewer
+    repeats."""
+    calls, peak, steps = [0], [0], []
     rs_check = itr._has_right_extension
 
     def counted(*args):
         calls[0] += 1
+        # A memo grows only by the store that follows an RS check, so its
+        # size at every check and after the run is every size it had.
+        peak[0] = max([peak[0], *(len(s._memo) for s in steps)])
         return rs_check(*args)
 
+    class RecordedStep(itr.SuccessorStep):
+        def __post_init__(self):
+            super().__post_init__()
+            steps.append(self)
+
     monkeypatch.setattr(itr, "_has_right_extension", counted)
+    monkeypatch.setattr(itr, "SuccessorStep", RecordedStep)
     use_local_enum(monkeypatch, local_enum)
     want = right_shrinking_runs()
     default_calls, calls[0] = calls[0], 0
-    monkeypatch.setattr(itr, "_MEMO_GENERATION", size)
+    monkeypatch.setattr(itr, "_MEMO_SIZE", size)
+    steps.clear()
+    peak[0] = 0
     assert right_shrinking_runs() == want
+    assert 0 < max([peak[0], *(len(s._memo) for s in steps)]) <= size
     # Without θ every local solution reaches the RS check.
     checked = sum(st_["local_solutions"] for _, st_ in want)
     assert default_calls < calls[0] <= checked
@@ -163,6 +176,11 @@ def test_invalid_configs_rejected():
                       right_shrinking=False))
     with pytest.raises(ValueError):
         list(traverse(g, 1, exclusion="bogus"))
+    # Every toggle must be a bool: "no" is truthy and would turn RS on.
+    for toggle in ("left_anchored", "right_shrinking", "exclusion"):
+        for value in ("no", 1, None):
+            with pytest.raises(ValueError, match=toggle):
+                list(traverse(g, 1, **{toggle: value}))
     with pytest.raises(ValueError):
         list(traverse(g, 1, exclusion="candidate"))
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from repro.bipartite.predicates import (
     is_maximal_kbiplex,
 )
 from repro.core.almost_sat import (
+    Anchor,
     ExpansionBase,
     enum_almost_sat,
     enum_almost_sat_brute,
@@ -27,7 +28,6 @@ from repro.core.almost_sat import (
 )
 from repro.core.extend import extend_masks
 from repro.core.itraversal import (
-    _AnchorPotential,
     _has_right_extension,
     _potential_ok,
     _theta_potential_ok,
@@ -212,30 +212,40 @@ def test_local_solutions_match_brute(data, g, k, side):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), g=graphs(), k=st.integers(1, 3))
 def test_anchor_state_matches_standalone(data, g, k):
-    """The θ-potential state one left anchor shares across its local
-    solutions gives, for every threshold pair, exactly the standalone
-    check; and a dead anchor has no local solution that passes it."""
+    """The θ-potential state an `Anchor` shares across its local solutions
+    gives, for every threshold pair, exactly the standalone check; and a
+    dead anchor has no local solution that passes it. The drawn anchor and
+    up to two more of the same H take turns on one `ExpansionBase`, as in
+    the step, so state that leaked from one anchor to the next would show."""
     drawn = data.draw(anchored(g, k, "L", 12, min_size=4))
     if drawn is None:
         return
     (left, right), v = drawn
-    keep = mask_of(right) & g.bits_l[v]
-    rights = [r for _, r in enum_local(g, mask_of(left), mask_of(right), v, k)]
-    for r in rights:
-        # Lemma 4.1, which the shared state and the dead bound rest on.
-        assert r & keep == keep
-        assert (r & ~keep).bit_count() <= k
+    lm, rm = mask_of(left), mask_of(right)
+    others = [x for x in range(g.n_left) if x != v and x not in left
+              and not can_add_left(g, (left, right), x, k)][:2]
+    base = ExpansionBase(g, k, lm, rm)
+    per_anchor = []
+    for x in [v, *others]:
+        keep = rm & g.bits_l[x]
+        rights = [r for _, r in enum_local(g, lm, rm, x, k)]
+        for r in rights:
+            # Lemma 4.1, which the shared state and the dead bound rest on.
+            assert r & keep == keep
+            assert (r & ~keep).bit_count() <= k
+        per_anchor.append((x, rights))
     for theta_r in range(len(right) + k + 2):
         for theta_l in range(min(g.n_left, 12) + 2):
-            want = [_theta_potential_ok(g, r, k, theta_l, theta_r) for r in rights]
-            # In both orders: one local solution must not leak into the next.
-            for order in (1, -1):
-                anchor = _AnchorPotential(keep, k)
-                got = [_theta_potential_ok(g, r, k, theta_l, theta_r, anchor)
-                       for r in rights[::order]]
-                assert all(a is b for a, b in zip(got, want[::order]))
-                if anchor.dead:
-                    assert not any(want)
+            for x, rights in per_anchor:
+                want = [_theta_potential_ok(g, r, k, theta_l, theta_r) for r in rights]
+                # In both orders: one local solution must not leak into the next.
+                for order in (1, -1):
+                    anchor = Anchor(base, x)
+                    got = [_theta_potential_ok(g, r, k, theta_l, theta_r, anchor)
+                           for r in rights[::order]]
+                    assert all(a is b for a, b in zip(got, want[::order]))
+                    if anchor.pot is not None and anchor.pot[2]:  # dead
+                        assert not any(want)
 
 
 def maximal_h(data, g, k):
@@ -257,10 +267,10 @@ def test_expansion_base_matches_slack_test(data, g, k):
         return
     (left, right), _ = drawn
     lm, rm = mask_of(left), mask_of(right)
-    base = ExpansionBase(lm, rm)
+    base = ExpansionBase(g, k, lm, rm)
     anchors = [x for x in range(g.n_left) if x not in left][:6]
     for x in anchors:
-        shared = list(enum_local(g, lm, rm, x, k, base=base))
+        shared = list(enum_local(g, lm, rm, x, k, anchor=Anchor(base, x)))
         assert shared == list(enum_local(g, lm, rm, x, k))
         r_enum = right - g.adj_l[x]
         r1 = {u for u in r_enum if len(left) - len(g.adj_r[u] & left) <= k - 1}
@@ -274,20 +284,21 @@ def test_expansion_base_matches_slack_test(data, g, k):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), g=graphs(), k=st.integers(1, 3))
 def test_rs_base_matches_standalone(data, g, k):
-    """The RS check with the `ExpansionBase` one expansion shares with
-    EnumAlmostSat equals the check without it on every local solution of
-    every anchor, in the step's order: those with L' = L ∪ {v} (which read
-    the base) and the removal-path ones (which take the standalone
-    formula)."""
+    """The RS check with the `Anchor` it shares with EnumAlmostSat, on the
+    `ExpansionBase` all anchors of one expansion share, equals the check
+    without it on every local solution of every anchor, in the step's
+    order: those with L' = L ∪ {v} (which read the anchor's state) and the
+    removal-path ones (which take the standalone formula)."""
     left, right = maximal_h(data, g, k)
     lm, rm = mask_of(left), mask_of(right)
     outside = ((1 << g.n_right) - 1) & ~rm
-    base = ExpansionBase(lm, rm)
+    base = ExpansionBase(g, k, lm, rm)
     anchors = sorted(data.draw(st.sets(
         st.sampled_from(sorted(set(range(g.n_left)) - left)), max_size=6))
         if g.n_left > len(left) else ())
     for v in anchors:
-        for loc_l, loc_r in enum_local(g, lm, rm, v, k, base=base):
+        anchor = Anchor(base, v)
+        for loc_l, loc_r in enum_local(g, lm, rm, v, k, anchor=anchor):
             event("L' = L ∪ {v}" if loc_l == lm | 1 << v else "removal path")
-            assert _has_right_extension(g, loc_l, loc_r, k, outside, base) is (
+            assert _has_right_extension(g, loc_l, loc_r, k, outside, anchor) is (
                 _has_right_extension(g, loc_l, loc_r, k, outside))
