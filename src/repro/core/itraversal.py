@@ -412,26 +412,22 @@ class SuccessorStep:
         theta_l, theta_r = theta if theta is not None else (0, 0)
         st.expansions += 1
         outside_right = ((1 << n_right) - 1) & ~right if right_shrinking else 0
-        # ``processed`` holds the anchors finished at this node; a child's
-        # exclusion set is excl ∪ processed-so-far. Exclusion and θ anchor
-        # on the left only, so they never meet a right anchor.
-        processed = 0
         for side, sg in self._sides:
             base = (ExpansionBase(sg, k, left, right) if side == "L"
                     else ExpansionBase(sg, k, right, left))
-            for v in ids_of(((1 << sg.n_left) - 1) & ~base.left):
-                bit = 1 << v
-                if exclusion and excl & bit:
-                    processed |= bit
-                    continue
-                anchor = Anchor(base, v)
-                # §5 right-side pruning (1): any solution below this anchor
-                # keeps ≤ δ(v,R)+k right vertices.
-                if theta is not None and anchor.keep.bit_count() + k < theta_r:
-                    processed |= bit
-                    continue
-                banned = excl | processed
+            free = ((1 << sg.n_left) - 1) & ~base.left
+            anchors = free & ~excl if exclusion else free
+            if theta is not None and theta_r > k:
+                # §5 right-side pruning (1), for all anchors at once: any
+                # solution below v keeps ≤ δ(v,R)+k right vertices.
+                anchors &= at_least([g.bits_r[u] for u in ids_of(right)], theta_r - k)
+            for v in ids_of(anchors):
+                # A child's exclusion set is excl plus every anchor this
+                # node finished before v: the free vertices below it.
+                # Exclusion and θ anchor on the left only.
+                banned = excl | free & ((1 << v) - 1)
                 child_excl = banned if exclusion else excl
+                anchor = Anchor(base, v)
                 st.almost_sat_calls += 1
                 for loc_l, loc_r in local(left, right, v, side, theta_r, anchor):
                     st.local_solutions += 1
@@ -482,7 +478,6 @@ class SuccessorStep:
                         continue
                     st.links += 1
                     yield ext, child_excl
-                processed |= bit
 
 
 def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
