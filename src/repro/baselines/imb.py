@@ -22,7 +22,12 @@ import time
 from typing import Iterator
 
 from ..bipartite.graph import BipartiteGraph, Solution
-from ..bipartite.predicates import can_add_left, can_add_right, normalize_k
+from ..bipartite.predicates import (
+    can_add_left,
+    can_add_right,
+    normalize_k,
+    normalize_theta,
+)
 
 
 def imb(
@@ -41,6 +46,7 @@ def imb(
     Candidates are (side, id) pairs in ascending order, left side first.
     """
     k = normalize_k(k)
+    theta_l, theta_r = normalize_theta((theta_l, theta_r))
 
     def feasible(sol: Solution, item: tuple[str, int]) -> bool:
         side, x = item

@@ -31,7 +31,10 @@ tests/test_exclusion_sweep.py.
 θ mode (§5, large MBPs): ``theta`` enables the right-side prunings
 (almost-satisfying-graph, local-solution and solution pruning) plus the
 exclusion-based left-side pruning, and filters emissions to MBPs with
-both sides ≥ θ. ``theta`` may be a single int (the paper's symmetric
+both sides ≥ θ. Every pruning is a decision about one expansion, so the
+step takes them all: a solution whose subtree cannot hold a large MBP
+fails the step's θ gate and has no successors, and neither traversal
+tests θ itself. ``theta`` may be a single int (the paper's symmetric
 constraint) or a ``(theta_l, theta_r)`` pair (the "easily customized"
 asymmetric variant of §5, which the Fig 13 case study needs).
 
@@ -215,14 +218,20 @@ def _potential_bound(
     excluded: int,
     slack: int,
 ) -> bool:
-    """The θ-potential test, for every right side R' = R ∪ R'' with
-    |R''| ≤ ``slack`` at once; ``adj`` holds the neighbour masks of R and
+    """The θ-potential test: can an MBP with sides ≥ (θ_L, θ_R) and no
+    vertex of ``excluded`` have its right side inside some R' = R ∪ R''
+    with |R''| ≤ ``slack``? ``adj`` holds the neighbour masks of R and
     ``over`` the `at_least` counters over them (θ_R − k of them).
 
-    P(R') lies inside P_up = {x : δ(x, R) ≥ θ_R − k − slack}, since R''
-    adds at most ``slack`` neighbours to any x; and R'' holds at most
-    ``slack`` of the right vertices with θ_L − k neighbours in P(R'). With
-    slack 0 the bound is the test itself.
+    The (θ−k)-core argument of §5/§6.1, applied dynamically: such an MBP
+    (L*, R*) has every x ∈ L* with δ(x, R') ≥ δ(x, R*) ≥ |R*| − k ≥
+    θ_R − k, so L* lies inside the potential set P(R'); and every
+    u ∈ R* has δ(u, L*) ≥ θ_L − k with L* ⊆ P(R'). P is read off the
+    counters, not scanned over 𝓛. P(R') lies inside P_up =
+    {x : δ(x, R) ≥ θ_R − k − slack}, since R'' adds at most ``slack``
+    neighbours to any x; and R'' holds at most ``slack`` of the right
+    vertices with θ_L − k neighbours in P(R'). With slack 0 the bound is
+    the test itself.
     """
     need_l = theta_r - k - slack
     p = over[need_l - 1] if need_l > 0 else (1 << g.n_left) - 1
@@ -235,48 +244,25 @@ def _potential_bound(
     return sum(1 for a in adj if (a & p).bit_count() >= need_r) + slack >= theta_r
 
 
-def _potential_ok(
-    g: BipartiteGraph,
-    right: int,
-    k: int,
-    theta_l: int,
-    theta_r: int,
-    excluded: int,
-) -> bool:
-    """Can any MBP with sides ≥ (θ_L, θ_R) and no vertex of ``excluded``
-    have its right side inside ``right``? (Both masks.)
-
-    The (θ−k)-core argument of §5/§6.1, applied dynamically: such an MBP
-    (L'', R'') has every v ∈ L'' with δ(v, right) ≥ δ(v, R'') ≥
-    |R''| − k ≥ θ_R − k, so L'' lies inside the potential set P; and
-    every u ∈ R'' has δ(u, L'') ≥ θ_L − k with L'' ⊆ P. P is counted on
-    the right side's neighbour masks (`at_least`), not by a scan of 𝓛.
-    """
-    adj, over = _potential_counters(g, right, k, theta_r)
-    return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded, 0)
-
-
 def _theta_potential_ok(
     g: BipartiteGraph,
     right: int,
     k: int,
     theta_l: int,
     theta_r: int,
-    anchor: Anchor | None = None,
+    anchor: Anchor,
 ) -> bool:
-    """`_potential_ok` for one local solution's right side, with no
-    exclusion set. A global of its own so that tracing times this use apart
-    from `SuccessorStep.expandable`.
+    """The θ-potential test (`_potential_bound`, slack 0) for the right
+    side of one local solution of ``anchor``, with no exclusion set. A
+    global of its own so that tracing times it apart from the step's θ
+    gate.
 
-    With the ``anchor`` the local solution came from, its right side is
-    R_keep ∪ R″ with |R″| ≤ k (Lemma 4.1), so ``anchor.pot`` holds, built
-    on the anchor's first check, R_keep's neighbour masks and counters,
-    and whether the bound over all its local solutions (slack k) already
-    fails (the anchor is dead). Each local solution then adds its at most
-    k masks of R″ to a copy of the counters.
+    The right side is R_keep ∪ R″ with |R″| ≤ k (Lemma 4.1), so
+    ``anchor.pot`` holds, built on the anchor's first check, R_keep's
+    neighbour masks and counters, and whether the bound over all its local
+    solutions (slack k) already fails (the anchor is dead). Each local
+    solution then adds its at most k masks of R″ to a copy of the counters.
     """
-    if anchor is None:
-        return _potential_ok(g, right, k, theta_l, theta_r, 0)
     if anchor.pot is None:
         adj, over = _potential_counters(g, anchor.keep, k, theta_r)
         dead = not _potential_bound(g, adj, over, k, theta_l, theta_r, 0, k)
@@ -300,11 +286,11 @@ class SuccessorStep:
 
     The step owns everything a traversal decides about one solution H:
     it validates k, θ and the toggles, picks the root H0 (`root`), tests
-    whether H's subtree can hold an MBP that meets θ (`expandable`) and
-    whether H itself does (`meets_theta`), and computes H's successors
-    (`__call__`, Algorithm 2 lines 5–9). The local DFS (`traverse`) and
-    the frontier BFS (`repro.distributed.frontier`) differ only in the
-    order they visit solutions.
+    whether H itself meets θ (`meets_theta`), and computes H's successors
+    (`__call__`, Algorithm 2 lines 5–9), which are none when H's subtree
+    cannot hold an MBP that meets θ (the θ gate). The local DFS
+    (`traverse`) and the frontier BFS (`repro.distributed.frontier`)
+    differ only in the order they visit solutions.
 
     The toggles are Fig 11's techniques; their defaults are the full
     iTraversal, and `VARIANTS` turns them off one by one.
@@ -378,29 +364,20 @@ class SuccessorStep:
         theta = self.theta
         return theta is None or (len(sol[0]) >= theta[0] and len(sol[1]) >= theta[1])
 
-    def expandable(self, right: int, excl: int) -> bool:
-        """Can the subtree of a solution with right side ``right`` and
-        exclusion set ``excl`` (masks) hold an MBP that meets θ? (True
-        without θ.)"""
-        if self.theta is None:
-            return True
-        theta_l, theta_r = self.theta
-        if right.bit_count() < theta_r:  # §5 right-side pruning (3)
-            return False
-        if self.exclusion and self.g.n_left - excl.bit_count() < theta_l:
-            return False  # §5 left-side pruning
-        # Potential pruning (our addition, same (θ−k)-core argument as
-        # §5/§6.1 applied *dynamically*): every large MBP (L'', R'')
-        # reachable from (L, R) has R'' ⊆ R and avoids the exclusion set,
-        # so too-small potential sets make the whole subtree fruitless.
-        return _potential_ok(self.g, right, self.k, theta_l, theta_r, excl)
-
     def __call__(self, left: int, right: int, excl: int) -> Iterator[Link]:
         """For every anchor of H = (``left``, ``right``) with exclusion set
         ``excl`` (left vertices): the §4 local solutions, the θ-potential
         check, the §3.4 right-shrinking check, the exclusion test and the
         extension to a maximal k-biplex. Yields a `Link` per surviving
         local solution.
+
+        With θ, H passes a gate first: §5's right-side pruning (3), its
+        left-side pruning and the θ-potential bound with ``excl`` (every
+        MBP below H has its right side inside R and avoids ``excl``). An H
+        that fails yields nothing and counts no expansion; one that passes
+        drops, by pruning (1), every anchor with < θ_R − k neighbours in
+        R (a solution below v keeps ≤ δ(v, R) + k right vertices). Both
+        read one set of counters over R.
 
         The anchors of one side of H share one `ExpansionBase`; each anchor
         is one `Anchor`, which EnumAlmostSat and both checks read and fill
@@ -410,6 +387,14 @@ class SuccessorStep:
         local, memo = self._local, self._memo
         n_right = g.n_right
         theta_l, theta_r = theta if theta is not None else (0, 0)
+        if theta is not None:  # the θ gate
+            if right.bit_count() < theta_r or (
+                exclusion and g.n_left - excl.bit_count() < theta_l
+            ):
+                return
+            adj, over = _potential_counters(g, right, k, theta_r)
+            if not _potential_bound(g, adj, over, k, theta_l, theta_r, excl, 0):
+                return
         st.expansions += 1
         outside_right = ((1 << n_right) - 1) & ~right if right_shrinking else 0
         for side, sg in self._sides:
@@ -417,10 +402,8 @@ class SuccessorStep:
                     else ExpansionBase(sg, k, right, left))
             free = ((1 << sg.n_left) - 1) & ~base.left
             anchors = free & ~excl if exclusion else free
-            if theta is not None and theta_r > k:
-                # §5 right-side pruning (1), for all anchors at once: any
-                # solution below v keeps ≤ δ(v,R)+k right vertices.
-                anchors &= at_least([g.bits_r[u] for u in ids_of(right)], theta_r - k)
+            if theta is not None and over:
+                anchors &= over[-1]  # §5 right-side pruning (1)
             for v in ids_of(anchors):
                 # A child's exclusion set is excl plus every anchor this
                 # node finished before v: the free vertices below it.
@@ -487,9 +470,12 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     per-solution question (the Fig 11 toggles, ``theta``, ``local_enum``,
     ``stats``, ``deadline``); its defaults are the full iTraversal. This
     function is the DFS alone: the visited set, the alternating output
-    and the deadline. The visited set holds each MBP's masks packed into
-    one int, L << |𝓡| | R, so a link to a visited MBP costs one set
-    lookup; only a new MBP becomes frozensets.
+    and the deadline. It pushes every new MBP, θ or not: one that fails
+    the step's θ gate has no successors, so it is emitted at push (even
+    depth) or popped and emitted on the very next iteration (odd depth),
+    as if it had never been pushed. The visited set holds each MBP's
+    masks packed into one int, L << |𝓡| | R, so a link to a visited MBP
+    costs one set lookup; only a new MBP becomes frozensets.
 
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
     stops (the reproduction's analog of the paper's INF budget —
@@ -499,8 +485,7 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     deadline is censored.
     """
     step = SuccessorStep(g, k, **config)
-    st, deadline = step.stats, step.deadline
-    expandable, meets_theta = step.expandable, step.meets_theta
+    st, deadline, meets_theta = step.stats, step.deadline, step.meets_theta
 
     def emit(sol: Solution) -> bool:
         if not meets_theta(sol):
@@ -508,18 +493,11 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
         st.solutions += 1
         return True
 
-    # Without exclusion a child needs no θ test of its own: its right side
-    # is its local solution's (right-shrinking keeps it), which already
-    # passed the same potential test, with no exclusion set, in the step.
-    # So only H0 is tested, as in the frontier BFS.
-    test_children = step.exclusion and step.theta is not None
     n_right = g.n_right
     h0 = step.root()
     h0_left, h0_right = mask_of(h0[0]), mask_of(h0[1])
     visited = {h0_left << n_right | h0_right}
-    stack: list[_Node] = []
-    if expandable(h0_right, 0):
-        stack.append(_Node(h0, step(h0_left, h0_right, 0), 0, True))  # pre-order
+    stack = [_Node(h0, step(h0_left, h0_right, 0), 0, True)]  # pre-order
     if emit(h0):
         yield h0
     while stack:
@@ -539,17 +517,14 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
         visited.add(ck)
         child = masks_to_solution(child_left, child_right)
         depth = node.depth + 1
-        if not test_children or expandable(child_right, child_excl):
-            # §3.5's alternating output, for polynomial delay: children
-            # at even depth are emitted now (pre-order), the rest when
-            # their expansion completes (pop).
-            pre = depth % 2 == 0
-            stack.append(_Node(
-                child, step(child_left, child_right, child_excl), depth, pre
-            ))
-            if pre and emit(child):
-                yield child
-        elif emit(child):
+        # §3.5's alternating output, for polynomial delay: children at
+        # even depth are emitted now (pre-order), the rest when their
+        # expansion completes (pop).
+        pre = depth % 2 == 0
+        stack.append(_Node(
+            child, step(child_left, child_right, child_excl), depth, pre
+        ))
+        if pre and emit(child):
             yield child
 
 

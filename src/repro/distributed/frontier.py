@@ -11,10 +11,10 @@ a DataFrame of newly-discovered MBPs:
             visited ∪= new;  frontier = new
 
 Every per-solution decision is the one local iTraversal makes
-(`SuccessorStep`: the successors — EnumAlmostSat → θ-potential and
-right-shrinking checks → left-only extension — and, with θ, whether H0
-is worth expanding), executed inside executors against a broadcast
-adjacency; this module is the BFS alone. The *exclusion
+(`SuccessorStep`: the θ gate, then the successors — EnumAlmostSat →
+θ-potential and right-shrinking checks → left-only extension), executed
+inside executors against a broadcast adjacency; this module is the BFS
+alone and tests no θ of its own. The *exclusion
 strategy* is inherently order-dependent (it threads state along the DFS),
 so the distributed traversal omits it; the result set is identical —
 asserted against local iTraversal in the tests — only the number of
@@ -67,10 +67,9 @@ def frontier_enumerate(
 ) -> DataFrame:
     """All maximal k-biplexes of ``g`` as a DataFrame (key, l, r).
 
-    With ``theta`` set, only large MBPs are returned, and the BFS starts
-    only when the step finds H0's subtree can hold one. Without exclusion
-    that one test suffices: a successor's right side is its local
-    solution's, which already passed the same potential test in the step.
+    With ``theta`` set, only large MBPs are returned. A solution whose
+    subtree cannot hold one fails the step's θ gate and has no successors,
+    so when H0 fails it the BFS spends one round that finds nothing.
     A RuntimeError is raised when the frontier is still non-empty after
     ``max_rounds`` expansion rounds.
     """
@@ -93,8 +92,7 @@ def frontier_enumerate(
     seed = spark.createDataFrame(
         pd.DataFrame([solution_row(h0)]), schema=SOLUTION_SCHEMA
     )
-    visited = seed.localCheckpoint(eager=True)
-    frontier = visited if step.expandable(mask_of(h0[1]), 0) else visited.limit(0)
+    visited = frontier = seed.localCheckpoint(eager=True)
     rounds = 0
     while not frontier.isEmpty():
         if rounds == max_rounds:

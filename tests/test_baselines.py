@@ -124,6 +124,15 @@ def test_imb_rejects_bad_k():
         list(imb(g, 0))
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "a", None])
+@pytest.mark.parametrize("side", ["theta_l", "theta_r"])
+def test_imb_rejects_bad_theta(side, bad):
+    g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
+    theta = {"theta_l": 1, "theta_r": 2, side: bad}
+    with pytest.raises(ValueError, match="theta"):
+        list(imb(g, 1, **theta))
+
+
 @settings(max_examples=25, deadline=None)
 @given(bits=st.integers(min_value=0, max_value=2**16 - 1))
 def test_hypothesis_imb_and_faplexen(bits):

@@ -3,7 +3,12 @@ import pytest
 
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
-from repro.bipartite.graph import mask_of, masks_to_solution, solution_key
+from repro.bipartite.graph import (
+    BipartiteGraph,
+    mask_of,
+    masks_to_solution,
+    solution_key,
+)
 from repro.core.itraversal import itraversal
 from repro.distributed.frontier import (
     collect_solutions,
@@ -119,6 +124,15 @@ def test_frontier_max_rounds_single_mbp(spark):
     assert bfs_depth(g, 1) == 1
     df = frontier_enumerate(spark, g, 1, max_rounds=1)
     assert collect_solutions(df) == {((0, 1), (0, 1))}
+
+
+def test_frontier_h0_failing_theta_gate(spark):
+    """H0 = (∅, 𝓡) of a 6×6 perfect matching fails the step's θ gate at
+    θ = 3, k = 1: the BFS spends one round that finds nothing, so it
+    drains within ``max_rounds=1`` and returns no rows."""
+    g = BipartiteGraph.from_edges([(i, i) for i in range(6)])
+    df = frontier_enumerate(spark, g, 1, theta=3, max_rounds=1)
+    assert collect_solutions(df) == set()
 
 
 def test_frontier_no_duplicate_keys(spark):

@@ -29,7 +29,8 @@ from repro.core.almost_sat import (
 from repro.core.extend import extend_masks
 from repro.core.itraversal import (
     _has_right_extension,
-    _potential_ok,
+    _potential_bound,
+    _potential_counters,
     _theta_potential_ok,
 )
 
@@ -140,6 +141,13 @@ def potential_set(g, right, need_l, excluded):
     return frozenset(v for v, c in cnt.items() if c >= need_l) - excluded
 
 
+def potential_ok(g, right, k, theta_l, theta_r, excluded):
+    """The step's θ-potential bound on a whole right side (mask), with no
+    slack, from a fresh set of counters."""
+    adj, over = _potential_counters(g, right, k, theta_r)
+    return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded, 0)
+
+
 def potential_reference(g, right, k, theta_l, theta_r, p):
     """The frozenset form of the θ-potential test, given the potential set."""
     if len(p) < theta_l:
@@ -163,10 +171,13 @@ def test_theta_potential_matches_counter_formula(data, g, k):
     for theta_r in range(min(g.n_right, 12) + 2):
         p_all = potential_set(g, right, theta_r - k, frozenset())
         p = p_all - excluded
+        _, over = _potential_counters(g, rm, k, theta_r)
+        if over:  # the anchors §5's right-side pruning (1) keeps
+            assert frozenset(ids_of(over[-1])) == p_all
         for theta_l in range(g.n_left + 2):
-            assert _potential_ok(g, rm, k, theta_l, theta_r, xm) is (
+            assert potential_ok(g, rm, k, theta_l, theta_r, xm) is (
                 potential_reference(g, right, k, theta_l, theta_r, p))
-            assert _theta_potential_ok(g, rm, k, theta_l, theta_r) is (
+            assert potential_ok(g, rm, k, theta_l, theta_r, 0) is (
                 potential_reference(g, right, k, theta_l, theta_r, p_all))
 
 
@@ -237,7 +248,7 @@ def test_anchor_state_matches_standalone(data, g, k):
     for theta_r in range(len(right) + k + 2):
         for theta_l in range(min(g.n_left, 12) + 2):
             for x, rights in per_anchor:
-                want = [_theta_potential_ok(g, r, k, theta_l, theta_r) for r in rights]
+                want = [potential_ok(g, r, k, theta_l, theta_r, 0) for r in rights]
                 # In both orders: one local solution must not leak into the next.
                 for order in (1, -1):
                     anchor = Anchor(base, x)

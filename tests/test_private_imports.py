@@ -42,11 +42,11 @@ def test_guard_flags_relative_and_absolute_forms():
     source = (
         "from __future__ import annotations\n"
         "from os import _exit\n"
-        "from ..core.itraversal import _potential_ok, traverse\n"
+        "from ..core.itraversal import _potential_bound, traverse\n"
         "from repro.bipartite.graph import _SMALL_IDS\n"
         "import repro.core._hidden\n"
         "from . import _sibling\n"
     )
     assert private_imports(source) == [
-        (3, "_potential_ok"), (4, "_SMALL_IDS"), (5, "_hidden"), (6, "_sibling"),
+        (3, "_potential_bound"), (4, "_SMALL_IDS"), (5, "_hidden"), (6, "_sibling"),
     ]

@@ -109,8 +109,10 @@ ES_THETA_DIGEST = "6959780adc0fc0512d5b9874801d8b8464093e5c4c7098136f164baba9f79
 
 
 def test_es_theta_tests_only_h0(monkeypatch):
-    """Without exclusion a child's θ expandability is settled in the step,
-    so `traverse` asks `expandable` once per run, for H0; the emitted
+    """Without exclusion only H0 can fail the step's θ gate: a child's
+    right side is its local solution's (right-shrinking keeps it), which
+    already passed the same potential test, with no exclusion set. So
+    every step call after the root's counts an expansion, and the emitted
     sequence and every counter stay as they were."""
     import hashlib
     import json
@@ -118,24 +120,48 @@ def test_es_theta_tests_only_h0(monkeypatch):
     from repro.core.itraversal import VARIANTS, SuccessorStep
     from repro.experiments import datasets
 
-    calls = []
-    expandable = SuccessorStep.expandable
+    expanded = []
+    call = SuccessorStep.__call__
 
-    def counted(self, right, excl):
-        calls.append(right)
-        return expandable(self, right, excl)
+    def counted(self, left, right, excl):
+        before = self.stats.expansions
+        links = call(self, left, right, excl)
+        first = next(links, None)  # runs the θ gate
+        expanded.append(self.stats.expansions > before)
+        if first is not None:
+            yield first
+            yield from links
 
-    monkeypatch.setattr(SuccessorStep, "expandable", counted)
+    monkeypatch.setattr(SuccessorStep, "__call__", counted)
     cfat = datasets.load("Cfat")
     core, _, _ = cfat.induced(*theta_k_core(cfat, 4, 1))
     runs = [(core, 1, 4)] + [(random_bipartite_gnp(**spec), k, theta)
                              for spec, theta in ES_THETA_RUNS for k in (1, 2)]
     h = hashlib.sha256()
     for g, k, theta in runs:
-        calls.clear()
+        expanded.clear()
         st = TraversalStats()
         for sol in VARIANTS["iTraversal-ES"](g, k, theta=theta, stats=st):
             h.update(repr(solution_key(sol)).encode())
         h.update(json.dumps(st.as_dict(), sort_keys=True).encode())
-        assert len(calls) == 1
+        assert expanded and all(expanded[1:])
+        assert st.expansions == sum(expanded)
     assert h.hexdigest() == ES_THETA_DIGEST
+
+
+@pytest.mark.parametrize("theta", [3, (1, 7)])
+@pytest.mark.parametrize("variant", ["iTraversal", "iTraversal-ES"])
+def test_h0_failing_theta_gate_expands_nothing(variant, theta):
+    """A 6×6 perfect matching has no MBP with both sides ≥ 3 at k = 1.
+    H0 = (∅, 𝓡) fails the step's θ gate, by the potential bound (θ = 3)
+    or by right-side pruning (3) (θ_R = 7 > |𝓡|): no output, and no
+    expansion is counted."""
+    from repro.bipartite.graph import BipartiteGraph
+    from repro.core.itraversal import VARIANTS
+
+    g = BipartiteGraph.from_edges([(i, i) for i in range(6)])
+    tl, tr = theta if isinstance(theta, tuple) else (theta, theta)
+    assert large(all_maximal_kbiplexes(g, 1), tl, tr) == set()
+    st = TraversalStats()
+    assert list(VARIANTS[variant](g, 1, theta=theta, stats=st)) == []
+    assert st.as_dict() == TraversalStats().as_dict()
