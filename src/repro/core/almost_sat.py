@@ -102,11 +102,12 @@ class Anchor:
 
     The successor step builds one per anchor and hands it to EnumAlmostSat
     and to the two checks on its local solutions, which keep their own
-    per-anchor state here, built on the anchor's first check: ``rs``, the
-    right-shrinking check's candidate set and near-tight list
-    (`itraversal._has_right_extension`), and ``pot``, the θ-potential
-    check's neighbour masks, counters and dead flag
-    (`itraversal._theta_potential_ok`).
+    per-anchor state here: ``rs``, the right-shrinking check's candidate
+    set and near-tight list (`itraversal._has_right_extension`), built on
+    the anchor's first check; and ``pot``, R_keep's neighbour masks and
+    θ-potential counters, built in θ mode by the per-anchor bound
+    (`itraversal._anchor_potential_ok`) before EnumAlmostSat runs and read
+    by the check on each local solution (`itraversal._theta_potential_ok`).
     """
 
     __slots__ = ("base", "v", "keep", "enum", "rs", "pot")
@@ -116,7 +117,7 @@ class Anchor:
         adjv = base.g.bits_l[v]
         self.keep, self.enum = base.right & adjv, base.right & ~adjv
         self.rs: tuple[int, list[tuple[int, int]]] | None = None
-        self.pot: tuple[list[int], list[int], bool] | None = None
+        self.pot: tuple[list[int], list[int]] | None = None
 
 
 def _enum_left(

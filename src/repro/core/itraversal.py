@@ -31,10 +31,12 @@ tests/test_exclusion_sweep.py.
 θ mode (§5, large MBPs): ``theta`` enables the right-side prunings
 (almost-satisfying-graph, local-solution and solution pruning) plus the
 exclusion-based left-side pruning, and filters emissions to MBPs with
-both sides ≥ θ. Every pruning is a decision about one expansion, so the
-step takes them all: a solution whose subtree cannot hold a large MBP
-fails the step's θ gate and has no successors, and neither traversal
-tests θ itself. ``theta`` may be a single int (the paper's symmetric
+both sides ≥ θ. The step takes every pruning, at three levels of one
+expansion: a solution whose subtree cannot hold a large MBP fails the
+θ gate and has no successors; an anchor none of whose local solutions
+can pass the θ-potential test is skipped before EnumAlmostSat runs; and
+each local solution takes that test on its own right side. Neither
+traversal tests θ itself. ``theta`` may be a single int (the paper's symmetric
 constraint) or a ``(theta_l, theta_r)`` pair (the "easily customized"
 asymmetric variant of §5, which the Fig 13 case study needs).
 
@@ -95,6 +97,8 @@ class TraversalStats:
 
     links: int = 0            # successor links generated (after pruning)
     expansions: int = 0       # solutions expanded (iThreeStep calls)
+    # EnumAlmostSat runs; an anchor the θ-potential bound skips never
+    # runs it, so it counts none, and none of its local solutions count.
     almost_sat_calls: int = 0
     local_solutions: int = 0
     pruned_right_shrinking: int = 0
@@ -200,8 +204,9 @@ def _potential_counters(
     g: BipartiteGraph, right: int, k: int, theta_r: int
 ) -> tuple[list[int], list[int]]:
     """The neighbour masks of ``right`` and the θ_R − k `at_least`
-    counters over them, which `_potential_bound` reads."""
-    adj = [g.bits_r[u] for u in ids_of(right)]
+    counters over them, which the θ-potential tests read."""
+    bits_r = g.bits_r
+    adj = [bits_r[u] for u in ids_of(right)]
     over = [0] * max(theta_r - k, 0)
     if over:
         at_least(adj, len(over), over)
@@ -216,32 +221,76 @@ def _potential_bound(
     theta_l: int,
     theta_r: int,
     excluded: int,
-    slack: int,
 ) -> bool:
     """The θ-potential test: can an MBP with sides ≥ (θ_L, θ_R) and no
-    vertex of ``excluded`` have its right side inside some R' = R ∪ R''
-    with |R''| ≤ ``slack``? ``adj`` holds the neighbour masks of R and
-    ``over`` the `at_least` counters over them (θ_R − k of them).
+    vertex of ``excluded`` have its right side inside R? ``adj`` holds the
+    neighbour masks of R and ``over`` the `at_least` counters over them
+    (θ_R − k of them).
 
     The (θ−k)-core argument of §5/§6.1, applied dynamically: such an MBP
-    (L*, R*) has every x ∈ L* with δ(x, R') ≥ δ(x, R*) ≥ |R*| − k ≥
-    θ_R − k, so L* lies inside the potential set P(R'); and every
-    u ∈ R* has δ(u, L*) ≥ θ_L − k with L* ⊆ P(R'). P is read off the
-    counters, not scanned over 𝓛. P(R') lies inside P_up =
-    {x : δ(x, R) ≥ θ_R − k − slack}, since R'' adds at most ``slack``
-    neighbours to any x; and R'' holds at most ``slack`` of the right
-    vertices with θ_L − k neighbours in P(R'). With slack 0 the bound is
-    the test itself.
+    (L*, R*) has every x ∈ L* with δ(x, R) ≥ δ(x, R*) ≥ |R*| − k ≥
+    θ_R − k, so L* lies inside the potential set P(R), read off the
+    counters rather than scanned over 𝓛; and every u ∈ R* has
+    δ(u, L*) ≥ θ_L − k with L* ⊆ P(R).
     """
-    need_l = theta_r - k - slack
-    p = over[need_l - 1] if need_l > 0 else (1 << g.n_left) - 1
+    p = over[-1] if over else (1 << g.n_left) - 1
     p &= ~excluded
     if p.bit_count() < theta_l:
         return False
     need_r = theta_l - k
     if need_r <= 0:
-        return len(adj) + slack >= theta_r
-    return sum(1 for a in adj if (a & p).bit_count() >= need_r) + slack >= theta_r
+        return len(adj) >= theta_r
+    return sum(1 for a in adj if (a & p).bit_count() >= need_r) >= theta_r
+
+
+def _anchor_potential_ok(
+    g: BipartiteGraph,
+    anchor: Anchor,
+    k: int,
+    theta_l: int,
+    theta_r: int,
+    reach: int,
+) -> bool:
+    """The θ-potential test for every local solution of ``anchor`` at
+    once: False only if none can pass `_theta_potential_ok`. ``reach`` is
+    P(R), the left vertices with θ_R − k neighbours in H's right side R.
+    Builds ``anchor.pot``, the neighbour masks of R_keep and their θ_R − k
+    counters, which the local solutions' checks share.
+
+    Every local solution has R′ = R_keep ∪ R″ with R″ ⊆ ``anchor.enum``
+    and |R″| ≤ k (Lemma 4.1). Each x ∈ P(R′) has δ(x, R_keep) ≥
+    δ(x, R′) − |R″| ≥ θ_R − 2k, and δ(x, R) ≥ δ(x, R′) since R′ ⊆ R; so
+    P(R′) ⊆ P = {x ∈ ``reach`` : δ(x, R_keep) ≥ θ_R − 2k}. Of the right
+    vertices with θ_L − k neighbours in P(R′), those in R_keep have as
+    many in P, and those in R″ are at most min(k, the vertices of
+    R \\ Γ(v) with θ_L − k neighbours in P). The second count is taken
+    only when it decides the verdict, and stops at θ_R.
+    """
+    adj, over = _potential_counters(g, anchor.keep, k, theta_r)
+    anchor.pot = adj, over
+    need_l = theta_r - 2 * k
+    p = over[need_l - 1] & reach if need_l > 0 else reach
+    if p.bit_count() < theta_l:
+        return False
+    need_r = theta_l - k
+    if need_r <= 0:
+        return len(adj) + min(k, anchor.enum.bit_count()) >= theta_r
+    hits = 0
+    for a in adj:
+        if (a & p).bit_count() >= need_r:
+            hits += 1
+    if hits >= theta_r:
+        return True
+    if hits + k < theta_r:
+        return False
+    # Here θ_R − hits ≤ k, so stopping at θ_R caps R″'s share at k.
+    bits_r = g.bits_r
+    for u in ids_of(anchor.enum):
+        if (bits_r[u] & p).bit_count() >= need_r:
+            hits += 1
+            if hits >= theta_r:
+                return True
+    return False
 
 
 def _theta_potential_ok(
@@ -252,24 +301,16 @@ def _theta_potential_ok(
     theta_r: int,
     anchor: Anchor,
 ) -> bool:
-    """The θ-potential test (`_potential_bound`, slack 0) for the right
-    side of one local solution of ``anchor``, with no exclusion set. A
-    global of its own so that tracing times it apart from the step's θ
-    gate.
+    """The θ-potential test (`_potential_bound`) for the right side of one
+    local solution of ``anchor``, with no exclusion set. A global of its
+    own so that tracing times it apart from the step's θ gate.
 
-    The right side is R_keep ∪ R″ with |R″| ≤ k (Lemma 4.1), so
-    ``anchor.pot`` holds, built on the anchor's first check, R_keep's
-    neighbour masks and counters, and whether the bound over all its local
-    solutions (slack k) already fails (the anchor is dead). Each local
-    solution then adds its at most k masks of R″ to a copy of the counters.
+    The right side is R_keep ∪ R″ with |R″| ≤ k (Lemma 4.1), and
+    ``anchor.pot``, built by `_anchor_potential_ok` before EnumAlmostSat
+    ran, holds R_keep's neighbour masks and counters; each local solution
+    adds its at most k masks of R″ to a copy of the counters.
     """
-    if anchor.pot is None:
-        adj, over = _potential_counters(g, anchor.keep, k, theta_r)
-        dead = not _potential_bound(g, adj, over, k, theta_l, theta_r, 0, k)
-        anchor.pot = adj, over, dead
-    adj, over, dead = anchor.pot
-    if dead:
-        return False
+    adj, over = anchor.pot
     bits_r = g.bits_r
     extra = [bits_r[u] for u in ids_of(right & ~anchor.keep)]
     if extra:
@@ -277,7 +318,7 @@ def _theta_potential_ok(
         if over:
             at_least(extra, len(over), over)
         adj = adj + extra
-    return _potential_bound(g, adj, over, k, theta_l, theta_r, 0, 0)
+    return _potential_bound(g, adj, over, k, theta_l, theta_r, 0)
 
 
 @dataclass
@@ -377,11 +418,15 @@ class SuccessorStep:
         that fails yields nothing and counts no expansion; one that passes
         drops, by pruning (1), every anchor with < θ_R − k neighbours in
         R (a solution below v keeps ≤ δ(v, R) + k right vertices). Both
-        read one set of counters over R.
+        read one set of counters over R. Each anchor left then takes the
+        θ-potential bound over all its local solutions
+        (`_anchor_potential_ok`) before EnumAlmostSat runs, and is skipped
+        if it fails.
 
         The anchors of one side of H share one `ExpansionBase`; each anchor
-        is one `Anchor`, which EnumAlmostSat and both checks read and fill
-        lazily."""
+        is one `Anchor`, which EnumAlmostSat and both checks read: the RS
+        check fills its state on its first call, the anchor bound the θ
+        check's."""
         g, k, st, theta = self.g, self.k, self.stats, self.theta
         exclusion, right_shrinking = self.exclusion, self.right_shrinking
         local, memo = self._local, self._memo
@@ -393,8 +438,9 @@ class SuccessorStep:
             ):
                 return
             adj, over = _potential_counters(g, right, k, theta_r)
-            if not _potential_bound(g, adj, over, k, theta_l, theta_r, excl, 0):
+            if not _potential_bound(g, adj, over, k, theta_l, theta_r, excl):
                 return
+            reach = over[-1] if over else (1 << g.n_left) - 1  # P(R)
         st.expansions += 1
         outside_right = ((1 << n_right) - 1) & ~right if right_shrinking else 0
         for side, sg in self._sides:
@@ -402,15 +448,19 @@ class SuccessorStep:
                     else ExpansionBase(sg, k, right, left))
             free = ((1 << sg.n_left) - 1) & ~base.left
             anchors = free & ~excl if exclusion else free
-            if theta is not None and over:
-                anchors &= over[-1]  # §5 right-side pruning (1)
+            if theta is not None:
+                anchors &= reach  # §5 right-side pruning (1)
             for v in ids_of(anchors):
+                anchor = Anchor(base, v)
+                if theta is not None and not _anchor_potential_ok(
+                    g, anchor, k, theta_l, theta_r, reach
+                ):
+                    continue  # no local solution of v can pass the θ check
                 # A child's exclusion set is excl plus every anchor this
                 # node finished before v: the free vertices below it.
                 # Exclusion and θ anchor on the left only.
                 banned = excl | free & ((1 << v) - 1)
                 child_excl = banned if exclusion else excl
-                anchor = Anchor(base, v)
                 st.almost_sat_calls += 1
                 for loc_l, loc_r in local(left, right, v, side, theta_r, anchor):
                     st.local_solutions += 1

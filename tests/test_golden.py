@@ -59,13 +59,34 @@ def test_divorce_full_enumeration():
     )
 
 
+def sequence_digest(sols) -> str:
+    """sha256 of the emitted key sequence alone."""
+    h = hashlib.sha256()
+    for sol in sols:
+        h.update(repr(solution_key(sol)).encode())
+    return h.hexdigest()
+
+
 def test_cfat_theta_on_core():
+    """The sequence and the counters apart, so that a change to what the
+    θ prunings skip shows which counters it moves. The sequence digest was
+    recorded while every anchor still ran EnumAlmostSat; the per-anchor
+    θ-potential bound now skips the anchors whose local solutions all fail
+    the θ check, which moves only ``almost_sat_calls``, ``local_solutions``
+    and ``pruned_theta_potential``."""
     g = datasets.load("Cfat")
     theta, k = 4, 1
     sub, _, _ = g.induced(*theta_k_core(g, theta, k))
-    assert digest(lambda st: itraversal(sub, k, theta=theta, stats=st)) == (
-        "e96a65cbd719b67d4057ed5ab99fc0a422f9968831e2dbac06f66bda0eb3d27e"
+    st = TraversalStats()
+    assert sequence_digest(itraversal(sub, k, theta=theta, stats=st)) == (
+        "c08817ef51887517c652a65619619e3a62dcf1f48619c98d063586481555ca88"
     )
+    assert st.as_dict() == {
+        "links": 3421, "expansions": 1399, "almost_sat_calls": 1097,
+        "local_solutions": 16141, "pruned_right_shrinking": 510,
+        "pruned_exclusion": 68, "pruned_theta_potential": 12142,
+        "solutions": 25,
+    }
 
 
 # One digest per variant: the four refined EnumAlmostSat variants yield

@@ -28,6 +28,7 @@ from repro.core.almost_sat import (
 )
 from repro.core.extend import extend_masks
 from repro.core.itraversal import (
+    _anchor_potential_ok,
     _has_right_extension,
     _potential_bound,
     _potential_counters,
@@ -145,7 +146,7 @@ def potential_ok(g, right, k, theta_l, theta_r, excluded):
     """The step's θ-potential bound on a whole right side (mask), with no
     slack, from a fresh set of counters."""
     adj, over = _potential_counters(g, right, k, theta_r)
-    return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded, 0)
+    return _potential_bound(g, adj, over, k, theta_l, theta_r, excluded)
 
 
 def potential_reference(g, right, k, theta_l, theta_r, p):
@@ -224,10 +225,11 @@ def test_local_solutions_match_brute(data, g, k, side):
 @given(data=st.data(), g=graphs(), k=st.integers(1, 3))
 def test_anchor_state_matches_standalone(data, g, k):
     """The θ-potential state an `Anchor` shares across its local solutions
-    gives, for every threshold pair, exactly the standalone check; and a
-    dead anchor has no local solution that passes it. The drawn anchor and
-    up to two more of the same H take turns on one `ExpansionBase`, as in
-    the step, so state that leaked from one anchor to the next would show."""
+    (built by the per-anchor bound, as in the step) gives, for every
+    threshold pair, exactly the standalone check; and an anchor the bound
+    kills has no local solution that passes it. The drawn anchor and up to
+    two more of the same H take turns on one `ExpansionBase`, as in the
+    step, so state that leaked from one anchor to the next would show."""
     drawn = data.draw(anchored(g, k, "L", 12, min_size=4))
     if drawn is None:
         return
@@ -246,17 +248,20 @@ def test_anchor_state_matches_standalone(data, g, k):
             assert (r & ~keep).bit_count() <= k
         per_anchor.append((x, rights))
     for theta_r in range(len(right) + k + 2):
+        _, over = _potential_counters(g, rm, k, theta_r)
+        reach = over[-1] if over else (1 << g.n_left) - 1  # P(R)
         for theta_l in range(min(g.n_left, 12) + 2):
             for x, rights in per_anchor:
                 want = [potential_ok(g, r, k, theta_l, theta_r, 0) for r in rights]
                 # In both orders: one local solution must not leak into the next.
                 for order in (1, -1):
                     anchor = Anchor(base, x)
+                    if not _anchor_potential_ok(g, anchor, k, theta_l, theta_r,
+                                                reach):
+                        assert not any(want)
                     got = [_theta_potential_ok(g, r, k, theta_l, theta_r, anchor)
                            for r in rights[::order]]
                     assert all(a is b for a, b in zip(got, want[::order]))
-                    if anchor.pot is not None and anchor.pot[2]:  # dead
-                        assert not any(want)
 
 
 def maximal_h(data, g, k):
