@@ -36,9 +36,9 @@ expansion: a solution whose subtree cannot hold a large MBP fails the
 θ gate and has no successors; an anchor none of whose local solutions
 can pass the θ-potential test is skipped before EnumAlmostSat runs; and
 each local solution takes that test on its own right side. Neither
-traversal tests θ itself. ``theta`` may be a single int (the paper's symmetric
-constraint) or a ``(theta_l, theta_r)`` pair (the "easily customized"
-asymmetric variant of §5, which the Fig 13 case study needs).
+traversal tests θ itself. ``theta`` may be a single int (the paper's
+symmetric constraint) or a ``(theta_l, theta_r)`` pair (the "easily
+customized" asymmetric variant of §5, which the Fig 13 case study needs).
 
 Local-solution memo. The same local solution (L', R') turns up under many
 parents, and with right-shrinking its two costly questions depend on the
