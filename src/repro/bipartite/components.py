@@ -5,7 +5,9 @@ Used by the partition-parallel large-MBP enumerator
 (`repro.distributed.partition`): for θ ≥ 2k+1 every large MBP is
 connected (each left vertex touches ≥ |R|−k > |R|/2 right vertices, so
 any two left vertices share a neighbour), hence confined to one
-component and enumerable per-component independently.
+component and enumerable per-component independently. The Spark pass
+labels the core's edge rows; the enumerator then reads each component's
+graph off the broadcast input graph, induced on the labelled vertices.
 """
 from __future__ import annotations
 
@@ -59,16 +61,19 @@ def connected_components_edges(
     vertex key reachable from the edge). Vertex keys: left v → 2v,
     right u → 2u+1, so the two id spaces never collide. Converges in
     O(diameter) rounds; each round re-materializes via localCheckpoint.
+    A label never increases, so a round whose label sum equals the last
+    one's moved no label: one aggregate per round tests convergence.
     """
     cur = edges.select(
         "src",
         "dst",
         F.least(2 * F.col("src"), 2 * F.col("dst") + 1).alias("component"),
     ).localCheckpoint(eager=True)
+    total = cur.agg(F.sum("component")).first()[0]
     for _ in range(max_rounds):
         min_l = cur.groupBy("src").agg(F.min("component").alias("cl"))
         min_r = cur.groupBy("dst").agg(F.min("component").alias("cr"))
-        nxt = (
+        cur = (
             cur.join(min_l, "src")
             .join(min_r, "dst")
             .select(
@@ -77,18 +82,7 @@ def connected_components_edges(
                 F.least("component", "cl", "cr").alias("component"),
             )
         ).localCheckpoint(eager=True)
-        changed = (
-            nxt.alias("n")
-            .join(
-                cur.alias("c"),
-                (F.col("n.src") == F.col("c.src"))
-                & (F.col("n.dst") == F.col("c.dst")),
-            )
-            .where(F.col("n.component") != F.col("c.component"))
-            .limit(1)
-            .count()
-        )
-        cur = nxt
-        if changed == 0:
+        total, last = cur.agg(F.sum("component")).first()[0], total
+        if total == last:
             return cur
     raise RuntimeError(f"label propagation did not converge in {max_rounds} rounds")

@@ -4,24 +4,27 @@ The paper's traversal is a *DFS* over the implicit solution graph 𝒢_R
 (left-anchored + right-shrinking links). 𝒢_R itself does not depend on
 traversal order — every solution stays reachable from H0 along its links
 — so the DFS can be replaced by a level-synchronous BFS whose frontier is
-a DataFrame of newly-discovered MBPs:
+a DataFrame of newly-discovered MBPs, one ``(l, r)`` row of ascending ids
+per solution:
 
     round:  frontier --mapInPandas(successors)--> candidates
-            candidates --dropDuplicates / anti-join visited--> new
+            candidates --dropDuplicates / anti-join visited on (l, r)--> new
             visited ∪= new;  frontier = new
 
 Every per-solution decision is the one local iTraversal makes
 (`SuccessorStep`: the θ gate, then the successors — EnumAlmostSat →
-θ-potential and right-shrinking checks → left-only extension), executed
-inside executors against a broadcast adjacency; this module is the BFS
-alone and tests no θ of its own. The *exclusion
-strategy* is inherently order-dependent (it threads state along the DFS),
-so the distributed traversal omits it; the result set is identical —
-asserted against local iTraversal in the tests — only the number of
-traversed links differs.
+θ-potential and right-shrinking checks → left-only extension). The
+driver broadcasts the `BipartiteGraph` itself, and each executor
+partition builds one step from it, so the step's local-solution memo
+serves every frontier row of that partition. This module is the BFS
+alone and tests no θ of its own. The *exclusion strategy* is inherently
+order-dependent (it threads state along the DFS), so the distributed
+traversal omits it; the result set is identical — asserted against local
+iTraversal in the tests — only the number of traversed links differs.
 
 Lineage is cut with ``localCheckpoint`` every round, the standard idiom
-for iterative dataflows.
+for iterative dataflows: the seed once, then the new solutions and
+visited ∪ new each round.
 """
 from __future__ import annotations
 
@@ -32,21 +35,12 @@ from pyspark.sql import functions as F
 from ..bipartite.graph import BipartiteGraph, Solution, ids_of, mask_of
 from ..core.itraversal import SuccessorStep
 
-SOLUTION_SCHEMA = "key string, l array<long>, r array<long>"
-
-
-def mask_row(left: int, right: int) -> dict:
-    """The row of the solution with sides ``left``/``right`` (masks)."""
-    l, r = list(ids_of(left)), list(ids_of(right))
-    return {
-        "key": ",".join(map(str, l)) + "|" + ",".join(map(str, r)),
-        "l": l,
-        "r": r,
-    }
+SOLUTION_SCHEMA = "l array<long>, r array<long>"
 
 
 def solution_row(sol: Solution) -> dict:
-    return mask_row(mask_of(sol[0]), mask_of(sol[1]))
+    """The row of a solution: each side as a list of ascending ids."""
+    return {"l": sorted(sol[0]), "r": sorted(sol[1])}
 
 
 def frontier_step(
@@ -65,7 +59,7 @@ def frontier_enumerate(
     theta: int | tuple[int, int] | None = None,
     max_rounds: int = 10_000,
 ) -> DataFrame:
-    """All maximal k-biplexes of ``g`` as a DataFrame (key, l, r).
+    """All maximal k-biplexes of ``g`` as a DataFrame (l, r).
 
     With ``theta`` set, only large MBPs are returned. A solution whose
     subtree cannot hold one fails the step's θ gate and has no successors,
@@ -74,23 +68,23 @@ def frontier_enumerate(
     ``max_rounds`` expansion rounds.
     """
     step = frontier_step(g, k, theta)  # validates k and θ before any job
-    sc = spark.sparkContext
-    bc = sc.broadcast((g.adj_l, g.adj_r, g.n_left, g.n_right, step.k, step.theta))
+    k, theta = step.k, step.theta
+    bc = spark.sparkContext.broadcast(g)
 
     def expand(batches):
-        adj_l, adj_r, n_left, n_right, kk, tt = bc.value
-        gg = BipartiteGraph(n_left=n_left, n_right=n_right, adj_l=adj_l, adj_r=adj_r)
+        partition_step = frontier_step(bc.value, k, theta)
         for pdf in batches:
-            batch_step = frontier_step(gg, kk, tt)
-            rows = []
-            for l_arr, r_arr in zip(pdf["l"], pdf["r"]):
-                left, right = mask_of(map(int, l_arr)), mask_of(map(int, r_arr))
-                rows += [mask_row(*succ) for succ, _ in batch_step(left, right, 0)]
-            yield pd.DataFrame(rows, columns=["key", "l", "r"])
+            rows = [
+                (list(ids_of(left)), list(ids_of(right)))
+                for l_arr, r_arr in zip(pdf["l"], pdf["r"])
+                for (left, right), _ in partition_step(
+                    mask_of(map(int, l_arr)), mask_of(map(int, r_arr)), 0
+                )
+            ]
+            yield pd.DataFrame(rows, columns=["l", "r"])
 
-    h0 = step.root()
     seed = spark.createDataFrame(
-        pd.DataFrame([solution_row(h0)]), schema=SOLUTION_SCHEMA
+        pd.DataFrame([solution_row(step.root())]), schema=SOLUTION_SCHEMA
     )
     visited = frontier = seed.localCheckpoint(eager=True)
     rounds = 0
@@ -98,23 +92,23 @@ def frontier_enumerate(
         if rounds == max_rounds:
             raise RuntimeError(f"frontier BFS did not drain in {max_rounds} rounds")
         rounds += 1
-        candidates = frontier.mapInPandas(expand, schema=SOLUTION_SCHEMA)
         new = (
-            candidates.dropDuplicates(["key"])
-            .join(visited.select("key"), "key", "left_anti")
+            frontier.mapInPandas(expand, schema=SOLUTION_SCHEMA)
+            .dropDuplicates(["l", "r"])
+            .join(visited, ["l", "r"], "left_anti")
             .localCheckpoint(eager=True)
         )
         visited = visited.unionByName(new).localCheckpoint(eager=True)
         frontier = new
 
-    if step.theta is not None:
-        theta_l, theta_r = step.theta
+    if theta is not None:
+        theta_l, theta_r = theta
         visited = visited.where((F.size("l") >= theta_l) & (F.size("r") >= theta_r))
     return visited
 
 
 def collect_solutions(df: DataFrame) -> set:
-    """DataFrame (key,l,r) → set of canonical solution keys."""
+    """DataFrame (l, r) → set of canonical solution keys."""
     pdf = df.select("l", "r").toPandas()
     return {
         (tuple(int(x) for x in l), tuple(int(x) for x in r))

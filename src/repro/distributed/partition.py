@@ -22,6 +22,13 @@ Exactness (asserted by tests against brute force / local iTraversal):
   vertex addable to a large MBP would make the union survive peeling
   too (so it is in the core) and has ≥ θ−k > 0 edges into the MBP (so it
   is in the same component).
+
+Each component's graph is the broadcast G induced on the component's
+vertices, and that is exactly the component: core peeling is
+vertex-induced (an edge survives iff both its endpoints do), so every
+G-edge between two core vertices is a core edge, and such an edge puts
+its endpoints in one component. Ids are lifted back through the maps
+that `BipartiteGraph.induced` returns.
 """
 from __future__ import annotations
 
@@ -47,7 +54,7 @@ def enumerate_large_mbps_partitioned(
     *,
     deadline: float | None = None,
 ) -> DataFrame:
-    """Large MBPs of ``g`` as a DataFrame (key, l, r), component-parallel.
+    """Large MBPs of ``g`` as a DataFrame (l, r), component-parallel.
 
     ``deadline``, a ``time.monotonic()`` timestamp of the driver, stops
     every component's enumeration once it passes. Monotonic clocks are
@@ -65,35 +72,24 @@ def enumerate_large_mbps_partitioned(
     if core.isEmpty():
         return spark.createDataFrame([], SOLUTION_SCHEMA)
     labeled = connected_components_edges(core)
+    bc = spark.sparkContext.broadcast(g)
     wall_deadline = (
         None if deadline is None else time.time() + deadline - time.monotonic()
     )
 
     def enumerate_component(pdf: pd.DataFrame) -> pd.DataFrame:
-        lids = sorted(pdf["src"].unique())
-        rids = sorted(pdf["dst"].unique())
-        l_pos = {v: i for i, v in enumerate(lids)}
-        r_pos = {u: j for j, u in enumerate(rids)}
-        sub = BipartiteGraph.from_edges(
-            ((l_pos[v], r_pos[u]) for v, u in zip(pdf["src"], pdf["dst"])),
-            n_left=len(lids),
-            n_right=len(rids),
+        sub, lids, rids = bc.value.induced(
+            pdf["src"].unique().tolist(), pdf["dst"].unique().tolist()
         )
         local_deadline = (
             None if wall_deadline is None
             else time.monotonic() + wall_deadline - time.time()
         )
-        rows = []
-        for lp, rp in itraversal(sub, k, theta=th, deadline=local_deadline):
-            rows.append(
-                solution_row(
-                    (
-                        frozenset(int(lids[i]) for i in lp),
-                        frozenset(int(rids[j]) for j in rp),
-                    )
-                )
-            )
-        return pd.DataFrame(rows, columns=["key", "l", "r"])
+        rows = [
+            solution_row(([lids[i] for i in lp], [rids[j] for j in rp]))
+            for lp, rp in itraversal(sub, k, theta=th, deadline=local_deadline)
+        ]
+        return pd.DataFrame(rows, columns=["l", "r"])
 
     return labeled.groupBy("component").applyInPandas(
         enumerate_component, schema=SOLUTION_SCHEMA

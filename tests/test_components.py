@@ -5,6 +5,7 @@ from repro.bipartite.components import (
     connected_components,
     connected_components_edges,
 )
+from repro.bipartite.core_decomp import alpha_beta_core_edges
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph
 from repro.bipartite.spark_graph import edges_to_spark
@@ -65,3 +66,32 @@ def test_spark_components_chain(spark):
     g = BipartiteGraph.from_edges(edges, n_left=7, n_right=6)
     got = connected_components_edges(edges_to_spark(spark, g)).collect()
     assert len({int(r["component"]) for r in got}) == 1
+
+
+def two_blocks(seed: int) -> BipartiteGraph:
+    """Two random blocks side by side, with no edge between them."""
+    a = random_bipartite_gnp(n_left=7, n_right=6, p=0.6, seed=seed)
+    b = random_bipartite_gnp(n_left=5, n_right=8, p=0.6, seed=seed + 100)
+    edges = a.edges() + [(v + a.n_left, u + a.n_right) for v, u in b.edges()]
+    return BipartiteGraph.from_edges(
+        edges, n_left=a.n_left + b.n_left, n_right=a.n_right + b.n_right
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_induced_component_is_the_component(spark, seed):
+    """The partition enumerator takes each core component's graph as G
+    induced on the component's vertices. That must be exactly the
+    component's labelled edges: peeling is vertex-induced, and a G-edge
+    between two core vertices joins them in one component."""
+    g = (two_blocks(seed) if seed % 2 else
+         random_bipartite_gnp(n_left=12, n_right=12, p=0.25 + 0.02 * seed, seed=seed))
+    core = alpha_beta_core_edges(edges_to_spark(spark, g), alpha=2, beta=2)
+    components = {}
+    for row in connected_components_edges(core).collect():
+        components.setdefault(row["component"], set()).add((row["src"], row["dst"]))
+    if seed % 2:
+        assert len(components) >= 2
+    for edges in components.values():
+        sub, lids, rids = g.induced({v for v, _ in edges}, {u for _, u in edges})
+        assert {(lids[i], rids[j]) for i, j in sub.edges()} == edges

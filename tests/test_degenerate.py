@@ -1,10 +1,10 @@
 """Degenerate and invalid inputs: they work, or they fail loudly.
 
 Empty sides, graphs without edges and k ≥ |R| must enumerate exactly what
-brute force finds, in every Fig 11 row and in θ mode; a `k` that is not an
-int ≥ 1 must be a ValueError before any enumeration, in the local engine,
-the baselines, the frontier successor step and both Spark enumerators
-alike.
+brute force finds, in every Fig 11 row, in θ mode and through both Spark
+enumerators; a `k` that is not an int ≥ 1 must be a ValueError before any
+enumeration, in the local engine, the baselines, the frontier successor
+step and both Spark enumerators alike.
 """
 import pytest
 
@@ -14,7 +14,11 @@ from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import BipartiteGraph, solution_key
 from repro.core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
-from repro.distributed.frontier import frontier_enumerate, frontier_step
+from repro.distributed.frontier import (
+    collect_solutions,
+    frontier_enumerate,
+    frontier_step,
+)
 from repro.distributed.partition import enumerate_large_mbps_partitioned
 
 DEGENERATE = {
@@ -55,6 +59,28 @@ def test_degenerate_theta_match_bruteforce(theta, name, k):
     want = {(a, b) for a, b in all_maximal_kbiplexes(g, k)
             if len(a) >= t_l and len(b) >= t_r}
     assert run(itraversal, g, k, theta=theta) == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_frontier_matches_bruteforce(spark, name, k):
+    g = DEGENERATE[name]
+    got = collect_solutions(frontier_enumerate(spark, g, k))
+    assert got == all_maximal_kbiplexes(g, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_partition_matches_bruteforce(spark, name, k):
+    """At the smallest θ the partition enumerator accepts, (k+1, 2k+1).
+    Every core here is empty but that of "two-right" at k = 1, which
+    holds no large MBP."""
+    g = DEGENERATE[name]
+    t_l, t_r = k + 1, 2 * k + 1
+    want = {(a, b) for a, b in all_maximal_kbiplexes(g, k)
+            if len(a) >= t_l and len(b) >= t_r}
+    got = collect_solutions(enumerate_large_mbps_partitioned(spark, g, k, (t_l, t_r)))
+    assert got == want
 
 
 BAD_K = [0, -1, 1.5, 2.0, True, False, "1", None]

@@ -32,7 +32,7 @@ def successors(g, k, sol):
 
 def test_solution_row_canonical():
     row = solution_row((frozenset({2, 0}), frozenset({1})))
-    assert row == {"key": "0,2|1", "l": [0, 2], "r": [1]}
+    assert row == {"l": [0, 2], "r": [1]}
 
 
 def test_frontier_successors_are_right_shrinking_mbps():
@@ -138,7 +138,7 @@ def test_frontier_h0_failing_theta_gate(spark):
 def test_frontier_no_duplicate_keys(spark):
     g = random_bipartite_gnp(n_left=6, n_right=5, p=0.5, seed=9)
     df = frontier_enumerate(spark, g, 1)
-    assert df.count() == df.select("key").distinct().count()
+    assert df.count() == df.select("l", "r").distinct().count()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

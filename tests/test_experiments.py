@@ -34,13 +34,13 @@ def test_specs_cover_paper_table1():
 
 
 # -------------------------------------------------------------- harness
-def test_time_first_n_ok():
+def test_consume_first_n_ok():
     run = consume(lambda d: iter(range(100)), 5, 10)
     assert run.status == "ok"
     assert run.count == 10
 
 
-def test_time_first_n_inf():
+def test_consume_first_n_inf():
     def gen():
         yield 1
         time.sleep(5)
@@ -51,7 +51,7 @@ def test_time_first_n_inf():
     assert run.count == 1
 
 
-def test_measure_delay_gaps():
+def test_consume_max_gap():
     def gen():
         yield 1
         time.sleep(0.2)
@@ -63,7 +63,7 @@ def test_measure_delay_gaps():
     assert run.max_gap >= 0.15
 
 
-def test_measure_delay_empty_enumeration():
+def test_consume_empty_enumeration():
     run = consume(lambda d: iter(()), 5)
     assert run.status == "ok"
     assert run.count == 0

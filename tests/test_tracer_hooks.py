@@ -2,9 +2,12 @@
 name, so renaming one in the engine breaks only traced benchmark runs.
 These tests load `perfbench/tracing.py` as it is and check that every
 global it wraps exists and that a traced iTraversal, with and without θ,
-still emits the untraced sequence, with each engine layer called."""
+still emits the untraced sequence, with each engine layer called; and
+that its Spark wrappers still read the two Spark enumerators."""
 import importlib.util
 import pathlib
+
+import pytest
 
 import repro.core.itraversal as itr
 from repro.bipartite.core_decomp import theta_k_core
@@ -58,3 +61,42 @@ def test_traced_theta_run_emits_untraced_sequence():
     sub, _, _ = g.induced(*theta_k_core(g, theta, k))
     traced_matches_untraced(lambda: itr.itraversal(sub, k, theta=theta),
                             ("almost_sat", "theta_potential", "rs_check", "extend"))
+
+
+def test_spark_tracer_reads_both_enumerators(spark):
+    """perfbench's Spark layers rest on how the two Spark enumerators run:
+    the frontier BFS checkpoints its seed once and then twice per round,
+    and the partition enumerator calls the `partition` module globals the
+    tracer wraps. A traced θ = 3 run must read the BFS's own round count,
+    no failed task and at least one core component, and leave every
+    wrapped global restored."""
+    import repro.distributed.partition as part
+    from pyspark.sql.classic.dataframe import DataFrame
+    from repro.distributed.frontier import collect_solutions, frontier_enumerate
+
+    tracing = load_tracing()
+    g = random_bipartite_gnp(n_left=10, n_right=10, p=0.7, seed=0)
+    k, theta = 1, 3
+    want = {solution_key(s) for s in itr.itraversal(g, k, theta=theta)}
+    originals = [DataFrame.localCheckpoint, part.alpha_beta_core_edges,
+                 part.connected_components_edges]
+    tracer = tracing.Tracer()
+    with tracing.patched_spark(tracer, spark):
+        tracer.record_checkpoints = True
+        frontier = collect_solutions(frontier_enumerate(spark, g, k, theta=theta))
+        tracer.record_checkpoints = False
+        partition = collect_solutions(
+            part.enumerate_large_mbps_partitioned(spark, g, k, theta))
+    assert [DataFrame.localCheckpoint, part.alpha_beta_core_edges,
+            part.connected_components_edges] == originals
+    assert frontier == partition == want
+
+    layers = tracing.frontier_layers(tracer, 1.0)
+    rounds = layers["frontier.rounds"]
+    assert len(tracer.checkpoints) == 1 + 2 * rounds
+    assert layers["frontier.failed_tasks"] == 0
+    assert collect_solutions(
+        frontier_enumerate(spark, g, k, theta=theta, max_rounds=rounds)) == want
+    with pytest.raises(RuntimeError, match="did not drain"):
+        frontier_enumerate(spark, g, k, theta=theta, max_rounds=rounds - 1)
+    assert tracing.partition_layers(tracer, 1.0)["partition.components"] >= 1
