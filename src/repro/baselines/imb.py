@@ -34,19 +34,19 @@ def imb(
     g: BipartiteGraph,
     k: int,
     *,
-    theta_l: int = 0,
-    theta_r: int = 0,
+    theta: int | tuple[int, int] | None = None,
     deadline: float | None = None,
 ) -> Iterator[Solution]:
-    """Lazily enumerate maximal k-biplexes (optionally only those with
-    |L| ≥ theta_l and |R| ≥ theta_r), each exactly once; stop once
-    ``time.monotonic()`` passes ``deadline``.
+    """Lazily enumerate maximal k-biplexes, each exactly once; stop once
+    ``time.monotonic()`` passes ``deadline``. ``theta``, an int or a
+    (θ_L, θ_R) pair as in `traverse`, keeps only those with |L| ≥ θ_L and
+    |R| ≥ θ_R.
 
     Iterative DFS over states ``(solution, candidate queue, excluded)``.
     Candidates are (side, id) pairs in ascending order, left side first.
     """
     k = normalize_k(k)
-    theta_l, theta_r = normalize_theta((theta_l, theta_r))
+    theta_l, theta_r = normalize_theta(theta) or (0, 0)
 
     def feasible(sol: Solution, item: tuple[str, int]) -> bool:
         side, x = item

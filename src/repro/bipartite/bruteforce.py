@@ -4,14 +4,15 @@ These enumerate by explicit subset enumeration (exponential), so they are
 only usable on tiny graphs (≲ 16 vertices total) — which is exactly their
 job: providing ground truth for differential tests of every optimized
 enumerator in this repo (bTraversal, iTraversal and its ablations, iMB,
-FaPlexen, the Spark frontier/partition enumerators).
+FaPlexen, the Spark frontier/partition enumerators, and EnumAlmostSat's
+local solutions).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import BipartiteGraph, SolutionKey, solution_key
-from .predicates import is_kbiplex, is_maximal_kbiplex
+from .graph import BipartiteGraph, Solution, SolutionKey, solution_key
+from .predicates import can_add_left, can_add_right, is_kbiplex, is_maximal_kbiplex
 
 _MAX_BRUTE_VERTICES = 22
 
@@ -46,6 +47,34 @@ def all_kbiplexes(g: BipartiteGraph, k: int) -> set[SolutionKey]:
         for right in _subsets(g.n_right)
         if is_kbiplex(g, left, right, k)
     }
+
+
+def enum_almost_sat_brute(
+    g: BipartiteGraph, sol: Solution, v: int, k: int, *, side: str = "L"
+) -> set[SolutionKey]:
+    """The local solutions of G[H ∪ v] for H = ``sol`` and v on ``side``
+    (EnumAlmostSat, §4), by checking every subset of H ∪ v that holds v."""
+    left, right = sol
+    if side == "L":
+        all_left, all_right = left | {v}, right
+    else:
+        all_left, all_right = left, right | {v}
+    ls, rs = sorted(all_left), sorted(all_right)
+    out: set[SolutionKey] = set()
+    for lm in range(1 << len(ls)):
+        lsub = frozenset(x for i, x in enumerate(ls) if lm >> i & 1)
+        if side == "L" and v not in lsub:
+            continue
+        for rm in range(1 << len(rs)):
+            rsub = frozenset(u for j, u in enumerate(rs) if rm >> j & 1)
+            if side == "R" and v not in rsub:
+                continue
+            h = (lsub, rsub)
+            if (is_kbiplex(g, lsub, rsub, k)
+                    and not any(can_add_left(g, h, x, k) for x in all_left - lsub)
+                    and not any(can_add_right(g, h, u, k) for u in all_right - rsub)):
+                out.add(solution_key(h))
+    return out
 
 
 def all_maximal_bicliques(

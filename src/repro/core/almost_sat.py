@@ -18,10 +18,10 @@ Four refined-enumeration variants (Fig 12) are selected by flags:
 
 All four variants return the same set of local solutions (the prunes only
 skip candidates that provably fail), which the tests assert against the
-brute-force reference `enum_almost_sat_brute`. They run on int bitmasks
-(`enum_local`, the kernel the traversal engine calls); `enum_almost_sat`
-is its frozenset front end. The §4.2 split of R by slack against L does
-not depend on the anchor, so the engine builds one `ExpansionBase` per
+brute-force reference `bruteforce.enum_almost_sat_brute`. Both
+implementations here take H as a pair of int bitmasks and yield local
+solutions as mask pairs, the form the traversal engine calls them in.
+The §4.2 split of R by slack against L does not depend on the anchor, so the engine builds one `ExpansionBase` per
 side of H, whose misses against L are counted once, and one `Anchor` per
 anchor v, which splits R into R ∩ Γ(v) and R \\ Γ(v) once for
 EnumAlmostSat and the checks on its local solutions; each anchor takes its
@@ -33,20 +33,12 @@ graph into a general graph and enumerate maximal (k+1)-plexes containing v.
 """
 from __future__ import annotations
 
+import time
 from itertools import combinations
 from typing import Iterator
 
 from ..baselines.kplex import enum_maximal_kplexes, inflate
-from ..bipartite.graph import (
-    BipartiteGraph,
-    MaskPair,
-    Solution,
-    at_least,
-    ids_of,
-    mask_of,
-    masks_to_solution,
-)
-from ..bipartite.predicates import can_add_left, can_add_right, is_kbiplex
+from ..bipartite.graph import BipartiteGraph, MaskPair, at_least, ids_of, mask_of
 
 
 def _addable(ax: int, grow: int, fixed: int, adj_fixed: list[int],
@@ -231,7 +223,7 @@ def _enum_removals(
             yield cand_l, r_prime
 
 
-def enum_local(
+def enum_almost_sat(
     g: BipartiteGraph,
     left: int,
     right: int,
@@ -244,10 +236,13 @@ def enum_local(
     r_min: int = 0,
     anchor: Anchor | None = None,
 ) -> Iterator[MaskPair]:
-    """`enum_almost_sat` on masks: H = (left, right), local solutions as
-    mask pairs. This is the kernel the traversal engine calls, with the
-    ``anchor`` it built for v in v's side's frame (for ``side='R'`` on the
-    transpose, where H is (right, left)); without one the call builds its
+    """Enumerate the local solutions of G[H ∪ v] as mask pairs, for H =
+    (``left``, ``right``) given as masks; ``side`` is v's side.
+
+    For ``side='R'`` the procedure runs on the transposed graph (the
+    refinement lemmas are side-symmetric), where H is (right, left), and
+    results are swapped back. The traversal engine passes the ``anchor``
+    it built for v in v's side's frame; without one the call builds its
     own."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
@@ -260,107 +255,44 @@ def enum_local(
     return local if side == "L" else ((b, a) for a, b in local)
 
 
-def enum_almost_sat(
-    g: BipartiteGraph,
-    sol: Solution,
-    v: int,
-    k: int,
-    *,
-    side: str = "L",
-    l2: bool = True,
-    r2: bool = True,
-    r_min: int = 0,
-) -> Iterator[Solution]:
-    """Enumerate local solutions of G[H ∪ v]; ``side`` is v's side.
-
-    For ``side='R'`` the procedure runs on the transposed graph (the
-    refinement lemmas are side-symmetric) and results are swapped back.
-    """
-    for a, b in enum_local(g, mask_of(sol[0]), mask_of(sol[1]), v, k,
-                           side=side, l2=l2, r2=r2, r_min=r_min):
-        yield masks_to_solution(a, b)
-
-
 def enum_almost_sat_inflation(
     g: BipartiteGraph,
-    sol: Solution,
+    left: int,
+    right: int,
     v: int,
     k: int,
     *,
     side: str = "L",
     deadline: float | None = None,
-) -> Iterator[Solution]:
-    """Inflation-based EnumAlmostSat (bTraversal's implementation, §6).
+) -> Iterator[MaskPair]:
+    """Inflation-based EnumAlmostSat (bTraversal's implementation, §6),
+    on masks like `enum_almost_sat`.
 
     Build the inflated general graph of the almost-satisfying graph and
     enumerate maximal (k+1)-plexes containing v; each corresponds 1:1 to
     a local solution (a k-biplex on the bipartite graph is a (k+1)-plex
     on the inflation and vice versa). Stops once ``time.monotonic()``
-    passes ``deadline``: the inflation of a large almost-satisfying graph
-    alone can outlast a budget.
+    passes ``deadline``, which is checked before anything is built: the
+    inflation of a large almost-satisfying graph alone can outlast a
+    budget, and once it has passed every remaining anchor returns at once.
     """
-    left, right = sol
+    if deadline is not None and time.monotonic() > deadline:
+        return
     if side == "L":
-        lv = sorted(left | {v})
-        rv = sorted(right)
-        anchor_left = True
+        left |= 1 << v
     elif side == "R":
-        lv = sorted(left)
-        rv = sorted(right | {v})
-        anchor_left = False
+        right |= 1 << v
     else:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    l_pos = {x: i for i, x in enumerate(lv)}
+    lv, rv = list(ids_of(left)), list(ids_of(right))
+    n_l = len(lv)
     r_pos = {u: j for j, u in enumerate(rv)}
-    cross = [
-        frozenset(r_pos[u] for u in g.adj_l[x] if u in r_pos) for x in lv
-    ]
-    adj = inflate(len(lv), len(rv), cross, deadline)
+    bits_l = g.bits_l
+    cross = [frozenset(r_pos[u] for u in ids_of(bits_l[x] & right)) for x in lv]
+    adj = inflate(n_l, len(rv), cross, deadline)
     if adj is None:
         return
-    seed = l_pos[v] if anchor_left else len(lv) + r_pos[v]
+    seed = lv.index(v) if side == "L" else n_l + r_pos[v]
     for plex in enum_maximal_kplexes(adj, k + 1, require=seed, deadline=deadline):
-        lp = frozenset(lv[i] for i in plex if i < len(lv))
-        rp = frozenset(rv[i - len(lv)] for i in plex if i >= len(lv))
-        yield (lp, rp)
-
-
-def enum_almost_sat_brute(
-    g: BipartiteGraph, sol: Solution, v: int, k: int, *, side: str = "L"
-) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Reference implementation by subset enumeration. Tests only."""
-    from ..bipartite.graph import solution_key
-
-    left, right = sol
-    if side == "L":
-        all_left, all_right = left | {v}, right
-    else:
-        all_left, all_right = left, right | {v}
-    ls = sorted(all_left)
-    rs = sorted(all_right)
-    cands = []
-    for lm in range(1 << len(ls)):
-        lsub = frozenset(x for i, x in enumerate(ls) if lm >> i & 1)
-        if (side == "L") and v not in lsub:
-            continue
-        for rm_ in range(1 << len(rs)):
-            rsub = frozenset(u for j, u in enumerate(rs) if rm_ >> j & 1)
-            if (side == "R") and v not in rsub:
-                continue
-            if is_kbiplex(g, lsub, rsub, k):
-                cands.append((lsub, rsub))
-    out = set()
-    for lsub, rsub in cands:
-        maximal = True
-        for x in all_left - lsub:
-            if can_add_left(g, (lsub, rsub), x, k):
-                maximal = False
-                break
-        if maximal:
-            for u in all_right - rsub:
-                if can_add_right(g, (lsub, rsub), u, k):
-                    maximal = False
-                    break
-        if maximal:
-            out.add(solution_key((lsub, rsub)))
-    return out
+        yield (mask_of(lv[i] for i in plex if i < n_l),
+               mask_of(rv[i - n_l] for i in plex if i >= n_l))

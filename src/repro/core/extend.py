@@ -2,7 +2,8 @@
 
 Paper §3.1 Step 3 requires each local solution to extend to exactly *one*
 maximal k-biplex via "a pre-set order on all vertices"; §3.2 defines the
-initial solution H0 = (L0, R) of iTraversal. Both live here.
+initial solution H0 = (L0, R) of iTraversal. Both live here, on int
+bitmasks: every function takes and returns a solution's sides as masks.
 
 A single ascending pass is sufficient for maximality: addability is
 monotone — once a vertex cannot be added to the current solution, growing
@@ -11,14 +12,7 @@ later. Tests assert the results against `is_maximal_kbiplex`.
 """
 from __future__ import annotations
 
-from ..bipartite.graph import (
-    BipartiteGraph,
-    MaskPair,
-    Solution,
-    ids_of,
-    mask_of,
-    masks_to_solution,
-)
+from ..bipartite.graph import BipartiteGraph, MaskPair, ids_of
 
 
 def _grow(grow: int, fixed: int, adj_grow: list[int], adj_fixed: list[int],
@@ -67,44 +61,31 @@ def _grow(grow: int, fixed: int, adj_grow: list[int], adj_fixed: list[int],
     return grow
 
 
-def extend_masks(
+def extend_to_maximal(
     g: BipartiteGraph, left: int, right: int, k: int, *, allow_right: bool = True
 ) -> MaskPair:
-    """`extend_to_maximal` on masks; the kernel the traversal engine calls."""
+    """Grow the k-biplex (``left``, ``right``), given as masks, to a
+    maximal one in ascending vertex order.
+
+    With ``allow_right=False`` only left vertices are considered — used by
+    iTraversal's right-shrinking mode (Algorithm 2 line 8), where the
+    input is already right-maximal so the result is still a global MBP.
+    """
     left = _grow(left, right, g.bits_l, g.bits_r, g.n_left, k)
     if allow_right:
         right = _grow(right, left, g.bits_r, g.bits_l, g.n_right, k)
     return left, right
 
 
-def extend_to_maximal(
-    g: BipartiteGraph,
-    left: frozenset[int],
-    right: frozenset[int],
-    k: int,
-    *,
-    allow_right: bool = True,
-) -> Solution:
-    """Grow (left, right) to a maximal k-biplex in ascending vertex order.
-
-    With ``allow_right=False`` only left vertices are considered — used by
-    iTraversal's right-shrinking mode (Algorithm 2 line 8), where the
-    input is already right-maximal so the result is still a global MBP.
-    """
-    return masks_to_solution(*extend_masks(
-        g, mask_of(left), mask_of(right), k, allow_right=allow_right))
-
-
-def initial_solution_left(g: BipartiteGraph, k: int) -> Solution:
+def initial_solution_left(g: BipartiteGraph, k: int) -> MaskPair:
     """iTraversal's H0 = (L0, R): start from (∅, R), greedily add left
     vertices in ascending order while the k-biplex property holds (§3.2).
 
     (∅, R) is always a k-biplex, and the result is right-full hence a
     global MBP."""
-    return extend_to_maximal(g, frozenset(), frozenset(range(g.n_right)), k,
-                             allow_right=False)
+    return extend_to_maximal(g, 0, (1 << g.n_right) - 1, k, allow_right=False)
 
 
-def initial_solution_any(g: BipartiteGraph, k: int) -> Solution:
+def initial_solution_any(g: BipartiteGraph, k: int) -> MaskPair:
     """bTraversal's arbitrary H0: greedy extension of the empty biplex."""
-    return extend_to_maximal(g, frozenset(), frozenset(), k)
+    return extend_to_maximal(g, 0, 0, k)

@@ -73,7 +73,6 @@ from ..bipartite.graph import (
     Solution,
     at_least,
     ids_of,
-    mask_of,
     masks_to_solution,
 )
 # Not called here any more (the visited set holds mask keys), but kept
@@ -82,13 +81,15 @@ from ..bipartite.graph import (
 # would fail without it.
 from ..bipartite.graph import solution_key  # noqa: F401
 from ..bipartite.predicates import normalize_k, normalize_theta
-from .almost_sat import Anchor, ExpansionBase, enum_almost_sat_inflation
 # The per-item layers of the successor step are called through these module
-# globals, looked up at call time, so a tracer can wrap them. The mask
-# kernels keep the names of the frozenset APIs they implement.
-from .almost_sat import enum_local as enum_almost_sat
-from .extend import extend_masks as extend_to_maximal
-from .extend import initial_solution_any, initial_solution_left
+# globals, looked up at call time, so a tracer can wrap them.
+from .almost_sat import (
+    Anchor,
+    ExpansionBase,
+    enum_almost_sat,
+    enum_almost_sat_inflation,
+)
+from .extend import extend_to_maximal, initial_solution_any, initial_solution_left
 
 
 @dataclass
@@ -372,13 +373,8 @@ class SuccessorStep:
         g, k, deadline = self.g, self.k, self.deadline
         if self.local_enum == "inflation":
             def local(left, right, v, side, r_min, anchor):
-                if deadline is not None and time.monotonic() > deadline:
-                    return
-                sol = masks_to_solution(left, right)
-                for a, b in enum_almost_sat_inflation(
-                    g, sol, v, k, side=side, deadline=deadline
-                ):
-                    yield mask_of(a), mask_of(b)
+                return enum_almost_sat_inflation(g, left, right, v, k, side=side,
+                                                 deadline=deadline)
         elif self.local_enum == "l2r2":
             def local(left, right, v, side, r_min, anchor):
                 return enum_almost_sat(g, left, right, v, k, side=side,
@@ -394,8 +390,9 @@ class SuccessorStep:
             self._sides.append(("R", g.transpose()))
         self._memo: dict[int, bool | MaskPair] = {}
 
-    def root(self) -> Solution:
-        """H0: right-full for left-anchored traversal (§3.2), else any MBP."""
+    def root(self) -> MaskPair:
+        """H0 as masks: right-full for left-anchored traversal (§3.2), else
+        any MBP."""
         if self.left_anchored:
             return initial_solution_left(self.g, self.k)
         return initial_solution_any(self.g, self.k)
@@ -544,8 +541,8 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
         return True
 
     n_right = g.n_right
-    h0 = step.root()
-    h0_left, h0_right = mask_of(h0[0]), mask_of(h0[1])
+    h0_left, h0_right = step.root()
+    h0 = masks_to_solution(h0_left, h0_right)
     visited = {h0_left << n_right | h0_right}
     stack = [_Node(h0, step(h0_left, h0_right, 0), 0, True)]  # pre-order
     if emit(h0):
@@ -592,14 +589,8 @@ exclusion strategy), which is `SuccessorStep`'s default configuration."""
 
 itraversal = VARIANTS["iTraversal"]
 
-
-def btraversal(
-    g: BipartiteGraph, k: int, *, local_enum: str = "inflation", **config
-) -> Iterator[Solution]:
-    """bTraversal (Algorithm 1): the "bTraversal" row of `VARIANTS`.
-
-    Default ``local_enum='inflation'`` matches §6's baseline ("implements
-    EnumAlmostSat by first inflating the graph"); Fig 11 passes 'l2r2'
-    for its fair comparison.
-    """
-    return VARIANTS["bTraversal"](g, k, local_enum=local_enum, **config)
+btraversal = partial(VARIANTS["bTraversal"], local_enum="inflation")
+"""bTraversal (Algorithm 1) as §6's baseline, which "implements
+EnumAlmostSat by first inflating the graph": the "bTraversal" row of
+`VARIANTS` with ``local_enum='inflation'``. Fig 11 passes 'l2r2' for its
+fair comparison."""

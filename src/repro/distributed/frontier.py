@@ -83,8 +83,9 @@ def frontier_enumerate(
             ]
             yield pd.DataFrame(rows, columns=["l", "r"])
 
+    h0_left, h0_right = step.root()
     seed = spark.createDataFrame(
-        pd.DataFrame([solution_row(step.root())]), schema=SOLUTION_SCHEMA
+        [(list(ids_of(h0_left)), list(ids_of(h0_right)))], schema=SOLUTION_SCHEMA
     )
     visited = frontier = seed.localCheckpoint(eager=True)
     rounds = 0

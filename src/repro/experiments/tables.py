@@ -17,7 +17,7 @@ from ..baselines.imb import imb
 from ..baselines.inflation import faplexen
 from ..bipartite.core_decomp import theta_k_core
 from ..bipartite.generators import erdos_renyi_bipartite
-from ..bipartite.graph import BipartiteGraph
+from ..bipartite.graph import BipartiteGraph, mask_of
 from ..core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
 from ..core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
 from . import datasets
@@ -199,7 +199,7 @@ def table5_large_mbps(
                 ("iTraversal-theta",
                  lambda d: itraversal(sub, k, theta=theta, deadline=d)),
                 ("iMB-theta",
-                 lambda d: imb(sub, k, theta_l=theta, theta_r=theta, deadline=d)),
+                 lambda d: imb(sub, k, theta=theta, deadline=d)),
             ]
             if spark is not None and theta >= 2 * k + 1:
                 from ..distributed.partition import (
@@ -276,23 +276,24 @@ def table7_enum_almost_sat(
     MBPs found by iTraversal, add one random outside left vertex)."""
     g = datasets.load(dataset_name)
     rng = random.Random(seed)
-    # Each variant maps (sol, v, k, deadline) to its local solutions; only
-    # Inflation can stall long enough to need the deadline.
+    # Each variant maps (left, right, v, k, deadline), H's sides as masks,
+    # to its local solutions; only Inflation can stall long enough to need
+    # the deadline.
     variants: dict[str, Callable] = {
-        "L1.0+R1.0": lambda sol, v, k, d: enum_almost_sat(
-            g, sol, v, k, l2=False, r2=False
+        "L1.0+R1.0": lambda left, right, v, k, d: enum_almost_sat(
+            g, left, right, v, k, l2=False, r2=False
         ),
-        "L1.0+R2.0": lambda sol, v, k, d: enum_almost_sat(
-            g, sol, v, k, l2=False, r2=True
+        "L1.0+R2.0": lambda left, right, v, k, d: enum_almost_sat(
+            g, left, right, v, k, l2=False, r2=True
         ),
-        "L2.0+R1.0": lambda sol, v, k, d: enum_almost_sat(
-            g, sol, v, k, l2=True, r2=False
+        "L2.0+R1.0": lambda left, right, v, k, d: enum_almost_sat(
+            g, left, right, v, k, l2=True, r2=False
         ),
-        "L2.0+R2.0": lambda sol, v, k, d: enum_almost_sat(
-            g, sol, v, k, l2=True, r2=True
+        "L2.0+R2.0": lambda left, right, v, k, d: enum_almost_sat(
+            g, left, right, v, k, l2=True, r2=True
         ),
-        "Inflation": lambda sol, v, k, d: enum_almost_sat_inflation(
-            g, sol, v, k, deadline=d
+        "Inflation": lambda left, right, v, k, d: enum_almost_sat_inflation(
+            g, left, right, v, k, deadline=d
         ),
     }
     rows = []
@@ -304,7 +305,9 @@ def table7_enum_almost_sat(
         for sol in mbps:
             outside = [v for v in range(g.n_left) if v not in sol[0]]
             if outside:
-                instances.append((sol, rng.choice(outside)))
+                instances.append(
+                    (mask_of(sol[0]), mask_of(sol[1]), rng.choice(outside))
+                )
             if len(instances) >= n_instances:
                 break
         for variant, fn in variants.items():
@@ -312,7 +315,8 @@ def table7_enum_almost_sat(
             # almost-satisfying graphs — the very effect Fig 12 reports;
             # the budget censors it like the paper's INF.
             run = consume(
-                lambda d: (loc for sol, v in instances for loc in fn(sol, v, k, d)),
+                lambda d: (loc for left, right, v in instances
+                           for loc in fn(left, right, v, k, d)),
                 budget_s,
             )
             rows.append(

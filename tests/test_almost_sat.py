@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bipartite.bruteforce import all_maximal_kbiplexes, enum_almost_sat_brute
 from repro.bipartite.generators import random_bipartite_gnp
-from repro.bipartite.graph import BipartiteGraph, solution_key
-from repro.bipartite.predicates import is_kbiplex
-from repro.core.almost_sat import (
-    enum_almost_sat,
-    enum_almost_sat_brute,
-    enum_almost_sat_inflation,
+from repro.bipartite.graph import (
+    BipartiteGraph,
+    mask_of,
+    masks_to_solution,
+    solution_key,
 )
+from repro.bipartite.predicates import is_kbiplex
+from repro.core.almost_sat import enum_almost_sat, enum_almost_sat_inflation
 from repro.core.extend import extend_to_maximal, initial_solution_left
 
 VARIANTS = [
@@ -28,10 +30,20 @@ VARIANTS = [
 ]
 
 
+def local_solutions(g, sol, v, k, enum=enum_almost_sat, **kwargs):
+    """The local solutions ``enum`` yields for H = ``sol`` (frozensets)
+    and anchor v, as frozenset pairs."""
+    return [masks_to_solution(a, b)
+            for a, b in enum(g, mask_of(sol[0]), mask_of(sol[1]), v, k, **kwargs)]
+
+
+def h0(g, k):
+    """iTraversal's initial solution as frozensets."""
+    return masks_to_solution(*initial_solution_left(g, k))
+
+
 def _almost_sat_instances(g, k, side="L"):
     """All (maximal solution, outside vertex) pairs of a small graph."""
-    from repro.bipartite.bruteforce import all_maximal_kbiplexes
-
     out = []
     for lk, rk in all_maximal_kbiplexes(g, k):
         sol = (frozenset(lk), frozenset(rk))
@@ -52,7 +64,7 @@ def test_variants_match_brute_left(variant, k, seed):
     for sol, v in _almost_sat_instances(g, k, "L"):
         got = {
             solution_key(s)
-            for s in enum_almost_sat(g, sol, v, k, side="L", **variant)
+            for s in local_solutions(g, sol, v, k, side="L", **variant)
         }
         want = enum_almost_sat_brute(g, sol, v, k, side="L")
         assert got == want, (sol, v)
@@ -63,7 +75,7 @@ def test_variants_match_brute_left(variant, k, seed):
 def test_right_side_matches_brute(k, seed):
     g = random_bipartite_gnp(n_left=5, n_right=4, p=0.5, seed=seed)
     for sol, u in _almost_sat_instances(g, k, "R"):
-        got = {solution_key(s) for s in enum_almost_sat(g, sol, u, k, side="R")}
+        got = {solution_key(s) for s in local_solutions(g, sol, u, k, side="R")}
         want = enum_almost_sat_brute(g, sol, u, k, side="R")
         assert got == want, (sol, u)
 
@@ -76,7 +88,8 @@ def test_inflation_matches_brute(k, seed, side):
     for sol, v in _almost_sat_instances(g, k, side):
         got = {
             solution_key(s)
-            for s in enum_almost_sat_inflation(g, sol, v, k, side=side)
+            for s in local_solutions(g, sol, v, k, enum_almost_sat_inflation,
+                                     side=side)
         }
         want = enum_almost_sat_brute(g, sol, v, k, side=side)
         assert got == want, (sol, v)
@@ -86,10 +99,10 @@ def test_local_solutions_contain_anchor_and_rkeep():
     # Lemma 4.1: every local solution contains v and all of Γ(v, R).
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.6, seed=9)
     k = 1
-    sol = initial_solution_left(g, k)
+    sol = h0(g, k)
     for v in sorted(set(range(g.n_left)) - sol[0]):
         r_keep = g.adj_l[v] & sol[1]
-        for lp, rp in enum_almost_sat(g, sol, v, k):
+        for lp, rp in local_solutions(g, sol, v, k):
             assert v in lp
             assert r_keep <= rp
 
@@ -97,22 +110,22 @@ def test_local_solutions_contain_anchor_and_rkeep():
 def test_local_solutions_are_kbiplexes():
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=11)
     for k in (1, 2):
-        sol = initial_solution_left(g, k)
+        sol = h0(g, k)
         for v in sorted(set(range(g.n_left)) - sol[0]):
-            for lp, rp in enum_almost_sat(g, sol, v, k):
+            for lp, rp in local_solutions(g, sol, v, k):
                 assert is_kbiplex(g, lp, rp, k)
 
 
 def test_r_min_filters_small_right_sides():
     g = random_bipartite_gnp(n_left=5, n_right=6, p=0.6, seed=5)
     k = 1
-    sol = initial_solution_left(g, k)
+    sol = h0(g, k)
     for v in sorted(set(range(g.n_left)) - sol[0]):
-        full = list(enum_almost_sat(g, sol, v, k))
+        full = local_solutions(g, sol, v, k)
         for r_min in (1, 3, 5):
             got = {
                 solution_key(s)
-                for s in enum_almost_sat(g, sol, v, k, r_min=r_min)
+                for s in local_solutions(g, sol, v, k, r_min=r_min)
             }
             want = {solution_key(s) for s in full if len(s[1]) >= r_min}
             assert got == want
@@ -121,13 +134,13 @@ def test_r_min_filters_small_right_sides():
 def test_r_min_rejected_for_right_side():
     g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
     with pytest.raises(ValueError):
-        list(enum_almost_sat(g, (frozenset(), frozenset({0})), 1, 1, side="R", r_min=2))
+        list(enum_almost_sat(g, 0, 0b1, 1, 1, side="R", r_min=2))
 
 
 def test_bad_side_rejected():
     g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
     with pytest.raises(ValueError):
-        list(enum_almost_sat(g, (frozenset(), frozenset()), 0, 1, side="X"))
+        list(enum_almost_sat(g, 0, 0, 0, 1, side="X"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,7 +158,7 @@ def test_hypothesis_all_variants_agree(bits, k):
         for variant in VARIANTS:
             got = {
                 solution_key(s)
-                for s in enum_almost_sat(g, sol, v, k, side="L", **variant)
+                for s in local_solutions(g, sol, v, k, side="L", **variant)
             }
             assert got == want
 
@@ -159,7 +172,7 @@ def test_dense_graph_unique_local_solution():
     )
     k = 1
     sol = (frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-    got = {solution_key(s) for s in enum_almost_sat(g, sol, 3, k)}
+    got = {solution_key(s) for s in local_solutions(g, sol, 3, k)}
     assert got == enum_almost_sat_brute(g, sol, 3, k)
     assert got  # the anchor always yields at least one local solution
 
@@ -169,8 +182,9 @@ def test_extension_of_local_solution_is_maximal():
 
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=21)
     k = 1
-    sol = initial_solution_left(g, k)
+    sol = h0(g, k)
     for v in sorted(set(range(g.n_left)) - sol[0]):
-        for lp, rp in enum_almost_sat(g, sol, v, k):
-            full = extend_to_maximal(g, lp, rp, k)
+        for lp, rp in local_solutions(g, sol, v, k):
+            full = masks_to_solution(
+                *extend_to_maximal(g, mask_of(lp), mask_of(rp), k))
             assert is_maximal_kbiplex(g, full[0], full[1], k)

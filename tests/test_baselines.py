@@ -109,7 +109,13 @@ def test_imb_theta_matches_filtered_bruteforce(tl, tr):
         for l, r in all_maximal_kbiplexes(g, k)
         if len(l) >= tl and len(r) >= tr
     }
-    assert keys(imb(g, k, theta_l=tl, theta_r=tr)) == want
+    assert keys(imb(g, k, theta=(tl, tr))) == want
+
+
+def test_imb_theta_none_is_unconstrained():
+    g = random_bipartite_gnp(n_left=5, n_right=5, p=0.65, seed=3)
+    assert keys(imb(g, 1, theta=None)) == keys(imb(g, 1))
+    assert keys(imb(g, 1, theta=None)) == all_maximal_kbiplexes(g, 1)
 
 
 def test_imb_no_duplicates():
@@ -127,10 +133,20 @@ def test_imb_rejects_bad_k():
 @pytest.mark.parametrize("bad", [-1, 1.5, True, "a", None])
 @pytest.mark.parametrize("side", ["theta_l", "theta_r"])
 def test_imb_rejects_bad_theta(side, bad):
+    """A bad value on one side of a (θ_L, θ_R) pair; None means "no θ"
+    only as the whole of ``theta``."""
     g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
-    theta = {"theta_l": 1, "theta_r": 2, side: bad}
+    theta = (bad, 2) if side == "theta_l" else (1, bad)
     with pytest.raises(ValueError, match="theta"):
-        list(imb(g, 1, **theta))
+        list(imb(g, 1, theta=theta))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "a", (1, 2, 3)])
+def test_imb_rejects_malformed_theta(bad):
+    """A bad value as the whole of ``theta``: neither an int nor a pair."""
+    g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
+    with pytest.raises(ValueError, match="theta"):
+        list(imb(g, 1, theta=bad))
 
 
 @settings(max_examples=25, deadline=None)

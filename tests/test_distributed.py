@@ -42,7 +42,7 @@ def test_frontier_successors_are_right_shrinking_mbps():
 
     g = random_bipartite_gnp(n_left=5, n_right=5, p=0.5, seed=3)
     k = 1
-    h0 = initial_solution_left(g, k)
+    h0 = masks_to_solution(*initial_solution_left(g, k))
     for lp, rp in successors(g, k, h0):
         assert is_maximal_kbiplex(g, lp, rp, k)
         assert rp <= h0[1]  # right-shrinking
@@ -93,7 +93,7 @@ def bfs_depth(g, k):
     """Expansion rounds the frontier BFS needs to drain, counted locally."""
     from repro.core.extend import initial_solution_left
 
-    frontier = {solution_key(initial_solution_left(g, k))}
+    frontier = {solution_key(masks_to_solution(*initial_solution_left(g, k)))}
     visited, rounds = set(frontier), 0
     while frontier:
         rounds += 1

@@ -7,13 +7,17 @@ must enumerate exactly the maximal k-biplexes brute force finds:
 
 * the 'link' grid: 120 seeds × 4 graph shapes × 3 densities × k ∈ {1, 2}
   = 2,880 runs without θ;
+* the larger-graph grid: 15 seeds × 3 shapes of 15–16 vertices (8×8,
+  6×9, 9×6) × 3 densities × k ∈ {1, 2, 3} = 405 runs without θ, where
+  deeper traversals and k = 3 give the rule more excluded anchors to get
+  wrong;
 * the θ grid: 40 seeds × 4 shapes × 3 densities × 2 labellings (as drawn,
   and relabelled by ascending degree) × k ∈ {1, 2} × 5 θ = 9,600 runs,
   each against brute force filtered by size. The θ gate's left-side
   pruning reads the exclusion set, and the labelling decides which
   anchors a child excludes.
 
-Both full grids, 12,480 runs, are marked ``sweep`` and deselected by
+All three full grids, 12,885 runs, are marked ``sweep`` and deselected by
 default; run them with
 
     PYTHONPATH=src python -m pytest tests/test_exclusion_sweep.py -m sweep
@@ -34,13 +38,13 @@ KS = [1, 2]
 SUBSET_SEEDS = range(0, 120, 4)
 
 
-def sweep_seed(seed: int) -> int:
+def sweep_seed(seed: int, shapes=SHAPES, densities=DENSITIES, ks=KS) -> int:
     """Check every run of one seed; returns the number of runs."""
     runs = 0
-    for n_left, n_right in SHAPES:
-        for p in DENSITIES:
+    for n_left, n_right in shapes:
+        for p in densities:
             g = random_bipartite_gnp(n_left=n_left, n_right=n_right, p=p, seed=seed)
-            for k in KS:
+            for k in ks:
                 want = all_maximal_kbiplexes(g, k)
                 got = {solution_key(s) for s in itraversal(g, k, exclusion=True)}
                 assert got == want, (seed, n_left, n_right, p, k)
@@ -60,6 +64,30 @@ def test_exclusion_sweep(seed):
 @pytest.mark.parametrize("seed", SUBSET_SEEDS)
 def test_exclusion_sweep_subset(seed):
     assert sweep_seed(seed) == RUNS_PER_SEED
+
+
+LARGE_SEEDS = range(15)
+LARGE_SHAPES = [(8, 8), (6, 9), (9, 6)]
+LARGE_DENSITIES = [0.4, 0.6, 0.8]
+LARGE_KS = [1, 2, 3]
+LARGE_SUBSET_SEEDS = range(0, 15, 8)
+LARGE_RUNS_PER_SEED = len(LARGE_SHAPES) * len(LARGE_DENSITIES) * len(LARGE_KS)
+
+
+def large_sweep_seed(seed: int) -> int:
+    """Check every larger-graph run of one seed; returns the number of runs."""
+    return sweep_seed(seed, LARGE_SHAPES, LARGE_DENSITIES, LARGE_KS)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_exclusion_large_sweep(seed):
+    assert large_sweep_seed(seed) == LARGE_RUNS_PER_SEED
+
+
+@pytest.mark.parametrize("seed", LARGE_SUBSET_SEEDS)
+def test_exclusion_large_sweep_subset(seed):
+    assert large_sweep_seed(seed) == LARGE_RUNS_PER_SEED
 
 
 THETA_SEEDS = range(40)

@@ -18,7 +18,7 @@ import repro.core.itraversal as itr
 from repro.bipartite.core_decomp import theta_k_core
 from repro.bipartite.generators import random_bipartite_gnp
 from repro.bipartite.graph import solution_key
-from repro.core.almost_sat import enum_local
+from repro.core.almost_sat import enum_almost_sat
 from repro.core.itraversal import VARIANTS, TraversalStats, btraversal, itraversal
 from repro.experiments import datasets
 
@@ -39,7 +39,7 @@ def use_local_enum(monkeypatch, local_enum):
     ``local_enum`` (L1.0/L2.0 × R1.0/R2.0), through the module global the
     successor step calls."""
     monkeypatch.setattr(itr, "enum_almost_sat", partial(
-        enum_local, l2=local_enum[:2] == "l2", r2=local_enum[2:] == "r2"))
+        enum_almost_sat, l2=local_enum[:2] == "l2", r2=local_enum[2:] == "r2"))
 
 
 def digest(run) -> str:

@@ -19,14 +19,9 @@ from repro.bipartite.predicates import (
     is_kbiplex,
     is_maximal_kbiplex,
 )
-from repro.core.almost_sat import (
-    Anchor,
-    ExpansionBase,
-    enum_almost_sat,
-    enum_almost_sat_brute,
-    enum_local,
-)
-from repro.core.extend import extend_masks
+from repro.bipartite.bruteforce import enum_almost_sat_brute
+from repro.core.almost_sat import Anchor, ExpansionBase, enum_almost_sat
+from repro.core.extend import extend_to_maximal
 from repro.core.itraversal import (
     _anchor_potential_ok,
     _has_right_extension,
@@ -105,7 +100,7 @@ def test_rs_check_depends_on_local_solution_only(data, g, k):
     v = data.draw(st.sampled_from(anchors))
     everything = (1 << g.n_right) - 1
     lm, rm = mask_of(left), mask_of(right)
-    for loc_l, loc_r in enum_local(g, lm, rm, v, k):
+    for loc_l, loc_r in enum_almost_sat(g, lm, rm, v, k):
         assert loc_r & ~rm == 0  # a left anchor only shrinks R
         assert _has_right_extension(g, loc_l, loc_r, k, everything & ~rm) is (
             _has_right_extension(g, loc_l, loc_r, k, everything & ~loc_r))
@@ -124,7 +119,7 @@ def greedy(g, left, right, k, allow_right):
 def test_extension_matches_ascending_greedy(data, g, k, allow_right):
     left, right = data.draw(biplexes(g, k))
     want = greedy(g, left, right, k, allow_right)
-    lm, rm = extend_masks(g, mask_of(left), mask_of(right), k, allow_right=allow_right)
+    lm, rm = extend_to_maximal(g, mask_of(left), mask_of(right), k, allow_right=allow_right)
     got = (frozenset(ids_of(lm)), frozenset(ids_of(rm)))
     assert got == want
     if allow_right:
@@ -215,8 +210,9 @@ def test_local_solutions_match_brute(data, g, k, side):
         return
     h, v = drawn
     want = enum_almost_sat_brute(g, h, v, k, side=side)
-    got = [(tuple(sorted(a)), tuple(sorted(b)))
-           for a, b in enum_almost_sat(g, h, v, k, side=side)]
+    got = [(tuple(ids_of(a)), tuple(ids_of(b)))
+           for a, b in enum_almost_sat(g, mask_of(h[0]), mask_of(h[1]), v, k,
+                                       side=side)]
     assert len(got) == len(set(got))
     assert set(got) == want
 
@@ -241,7 +237,7 @@ def test_anchor_state_matches_standalone(data, g, k):
     per_anchor = []
     for x in [v, *others]:
         keep = rm & g.bits_l[x]
-        rights = [r for _, r in enum_local(g, lm, rm, x, k)]
+        rights = [r for _, r in enum_almost_sat(g, lm, rm, x, k)]
         for r in rights:
             # Lemma 4.1, which the shared state and the dead bound rest on.
             assert r & keep == keep
@@ -286,8 +282,8 @@ def test_expansion_base_matches_slack_test(data, g, k):
     base = ExpansionBase(g, k, lm, rm)
     anchors = [x for x in range(g.n_left) if x not in left][:6]
     for x in anchors:
-        shared = list(enum_local(g, lm, rm, x, k, anchor=Anchor(base, x)))
-        assert shared == list(enum_local(g, lm, rm, x, k))
+        shared = list(enum_almost_sat(g, lm, rm, x, k, anchor=Anchor(base, x)))
+        assert shared == list(enum_almost_sat(g, lm, rm, x, k))
         r_enum = right - g.adj_l[x]
         r1 = {u for u in r_enum if len(left) - len(g.adj_r[u] & left) <= k - 1}
         assert set(ids_of(mask_of(r_enum) & ~base.over[k - 1])) == r1
@@ -314,7 +310,7 @@ def test_rs_base_matches_standalone(data, g, k):
         if g.n_left > len(left) else ())
     for v in anchors:
         anchor = Anchor(base, v)
-        for loc_l, loc_r in enum_local(g, lm, rm, v, k, anchor=anchor):
+        for loc_l, loc_r in enum_almost_sat(g, lm, rm, v, k, anchor=anchor):
             event("L' = L ∪ {v}" if loc_l == lm | 1 << v else "removal path")
             assert _has_right_extension(g, loc_l, loc_r, k, outside, anchor) is (
                 _has_right_extension(g, loc_l, loc_r, k, outside))

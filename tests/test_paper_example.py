@@ -44,7 +44,7 @@ def ablation():
 
 def test_initial_solution_is_right_full():
     l0, r0 = initial_solution_left(EXAMPLE, K)
-    assert r0 == frozenset(range(5))
+    assert r0 == 0b11111
     assert l0  # v4 connects everything, so L0 is non-empty here
 
 

@@ -1,9 +1,13 @@
 """Module boundaries: no module under ``src/repro`` imports a ``_`` name
-from another repro module.
+from another repro module, or a repro name under another name.
 
 A leading underscore marks a helper private to its module. A second
 module that needs it should use, or get, a public name instead: a private
 import ties two modules to one implementation detail.
+
+A repro name is imported under its own name: an ``as`` alias gives one
+function two names, or one name two functions, and tests and tracers that
+patch a module global by name then reach the wrong one.
 """
 import ast
 import pathlib
@@ -49,4 +53,47 @@ def test_guard_flags_relative_and_absolute_forms():
     )
     assert private_imports(source) == [
         (3, "_potential_bound"), (4, "_SMALL_IDS"), (5, "_hidden"), (6, "_sibling"),
+    ]
+
+
+def aliased_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, name, alias) for every repro name ``source`` imports under
+    another name, relative imports included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "repro":
+                continue
+            aliases = node.names
+        elif isinstance(node, ast.Import):
+            aliases = [a for a in node.names if a.name.split(".")[0] == "repro"]
+        else:
+            continue
+        found += [(node.lineno, a.name, a.asname) for a in aliases
+                  if a.asname not in (None, a.name)]
+    return found
+
+
+def test_no_aliased_repro_imports():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} {name} as {alias}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name, alias in aliased_imports(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_alias_guard_flags_relative_and_absolute_forms():
+    source = (
+        "import numpy as np\n"
+        "from pyspark.sql import functions as F\n"
+        "from .almost_sat import enum_local as enum_almost_sat, Anchor\n"
+        "from repro.core.extend import extend_to_maximal as extend_to_maximal\n"
+        "import repro.core.itraversal as itr\n"
+        "from .. import core as c\n"
+    )
+    assert aliased_imports(source) == [
+        (3, "enum_local", "enum_almost_sat"),
+        (5, "repro.core.itraversal", "itr"),
+        (6, "core", "c"),
     ]

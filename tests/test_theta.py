@@ -249,10 +249,10 @@ def test_anchor_bound_only_removes_work(monkeypatch):
 @pytest.mark.parametrize("k", [1, 2])
 def test_killed_anchor_has_no_passing_local_solution(monkeypatch, k):
     """Soundness of the per-anchor bound, on the anchors real traversals
-    kill: every local solution `enum_local` yields for such an anchor
+    kill: every local solution `enum_almost_sat` yields for such an anchor
     fails the slack-0 θ-potential test on its right side."""
     import repro.core.itraversal as itr
-    from repro.core.almost_sat import enum_local
+    from repro.core.almost_sat import enum_almost_sat
 
     bound = itr._anchor_potential_ok
     killed = []
@@ -273,7 +273,7 @@ def test_killed_anchor_has_no_passing_local_solution(monkeypatch, k):
     assert killed
     checked = 0
     for g, left, right, v, theta_l, theta_r in killed:
-        for _, loc_r in enum_local(g, left, right, v, k):
+        for _, loc_r in enum_almost_sat(g, left, right, v, k):
             adj, over = itr._potential_counters(g, loc_r, k, theta_r)
             assert not itr._potential_bound(g, adj, over, k, theta_l, theta_r, 0)
             checked += 1
