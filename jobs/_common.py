@@ -1,9 +1,9 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""Shared plumbing for the job entrypoints.
 
-Each job prints its table to stdout and appends it to
+Each job prints its table to stdout and writes it to
 ``results/tableN.txt`` so EXPERIMENTS.md can be assembled from the raw
-artifacts. Jobs that need Spark build a local session compatible with
-the test fixture's settings.
+artifacts. The job that needs Spark (T5) builds a local session
+compatible with the test fixture's settings.
 """
 from __future__ import annotations
 

@@ -1,25 +1,19 @@
 """Job: Table 1 — dataset statistics (paper sizes vs synthetic stand-ins).
 
-Usage: spark-submit jobs/table1_datasets.py [--no-spark]
+Usage: python jobs/table1_datasets.py
 """
 import argparse
 
-from _common import emit, get_spark
+from _common import emit
 
 from repro.experiments.harness import format_table
 from repro.experiments.tables import table1_datasets
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--no-spark", action="store_true",
-                    help="count edges locally instead of via Spark")
-    args = ap.parse_args(argv)
-    spark = None if args.no_spark else get_spark("table1")
-    rows = table1_datasets(spark=spark)
+    argparse.ArgumentParser().parse_args(argv)
+    rows = table1_datasets()
     emit("table1", format_table(rows, "Table 1: dataset statistics"))
-    if spark is not None:
-        spark.stop()
     return rows
 
 

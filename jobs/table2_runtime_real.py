@@ -4,7 +4,7 @@ Time to return the first N maximal k-biplexes for iTraversal,
 bTraversal, iMB and FaPlexen; INF = per-cell budget exceeded, OUT =
 inflation memory budget exceeded.
 
-Usage: spark-submit jobs/table2_runtime_real.py [--budget 60] [--n 1000]
+Usage: python jobs/table2_runtime_real.py [--budget 60] [--n 1000]
        [--k 1 2 3] [--datasets Divorce Crime ...]
 """
 import argparse

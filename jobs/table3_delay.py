@@ -1,6 +1,6 @@
 """Job: Table 3 (paper Fig 8) — maximum delay over a full enumeration.
 
-Usage: spark-submit jobs/table3_delay.py [--budget 120] [--k 1 2 3]
+Usage: python jobs/table3_delay.py [--budget 120] [--k 1 2 3]
 """
 import argparse
 

@@ -1,6 +1,6 @@
 """Job: Table 4 (paper Fig 9) — scalability on synthetic ER graphs.
 
-Usage: spark-submit jobs/table4_scalability.py [--budget 120]
+Usage: python jobs/table4_scalability.py [--budget 120]
 """
 import argparse
 

@@ -3,7 +3,7 @@
 Links + runtime for bTraversal / iTraversal-ES-RS / iTraversal-ES /
 iTraversal, all with the L2.0+R2.0 EnumAlmostSat.
 
-Usage: spark-submit jobs/table6_solution_graph.py [--budget 120]
+Usage: python jobs/table6_solution_graph.py [--budget 120]
 """
 import argparse
 

@@ -3,7 +3,7 @@
 Mean per-call time of L{1,2}.0+R{1,2}.0 and the Inflation baseline over
 random almost-satisfying graphs built from real MBPs.
 
-Usage: spark-submit jobs/table7_enum_almost_sat.py [--dataset Writer]
+Usage: python jobs/table7_enum_almost_sat.py [--dataset Writer]
 """
 import argparse
 

@@ -1,17 +1,14 @@
 """Job: Table 8 (paper Fig 13) — fraud-detection case study.
 
 Precision/recall/F1 of biclique, k-biplex, (alpha,beta)-core and
-delta-QB under a random camouflage attack. Metrics are recomputed via
-Spark DataFrame joins as a cross-check of the local computation.
+delta-QB under a random camouflage attack.
 
-Usage: spark-submit jobs/table8_fraud.py [--budget 60] [--no-spark]
+Usage: python jobs/table8_fraud.py [--budget 60] [--seed 0]
 """
 import argparse
 
-from _common import emit, get_spark
+from _common import emit
 
-from repro.casestudy.attack import camouflage_attack
-from repro.casestudy.detect import detect_core, metrics, metrics_spark
 from repro.experiments.harness import format_table
 from repro.experiments.tables import table8_fraud
 
@@ -20,23 +17,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--budget", type=float, default=60.0)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--no-spark", action="store_true")
     args = ap.parse_args(argv)
     rows = table8_fraud(seed=args.seed, budget_s=args.budget)
-    text = format_table(rows, "Table 8 (Fig 13): fraud detection")
-    if not args.no_spark:
-        spark = get_spark("table8")
-        sc = camouflage_attack(seed=args.seed)
-        flagged = detect_core(sc, alpha=5, beta=4)
-        local = metrics(flagged, sc.fake_items)
-        dist = metrics_spark(spark, flagged, sc.fake_items)
-        assert all(
-            (a is None and b is None) or abs(a - b) < 1e-9
-            for a, b in zip(local, dist)
-        ), "Spark metric cross-check failed"
-        text += "\n[spark] DataFrame-join metrics match local computation"
-        spark.stop()
-    emit("table8", text)
+    emit("table8", format_table(rows, "Table 8 (Fig 13): fraud detection"))
     return rows
 
 

@@ -51,6 +51,9 @@ def faplexen(
     adj = inflate(g.n_left, g.n_right, g.adj_l, deadline)
     if adj is None:
         return
+    if not adj:  # the k-plex search emits only non-empty plexes
+        yield (frozenset(), frozenset())
+        return
     for plex in enum_maximal_kplexes(adj, k + 1, deadline=deadline):
         left = frozenset(i for i in plex if i < g.n_left)
         right = frozenset(i - g.n_left for i in plex if i >= g.n_left)

@@ -220,26 +220,3 @@ def run_case_study(
                 for method, (flagged, censored) in cells]
     return out
 
-
-def metrics_spark(spark, flagged: Flagged, fake: Flagged):
-    """Precision/recall via Spark DataFrame joins (used by the Fig 13 job;
-    differential-tested against `metrics` and the DuckDB oracle)."""
-    from pyspark.sql import functions as F
-
-    def df(items, name):
-        rows = [(s, int(i)) for s, i in sorted(items)]
-        return spark.createDataFrame(rows or [], "side string, id long").alias(name)
-
-    fl, fk = df(flagged, "fl"), df(fake, "fk")
-    tp = fl.join(fk, ["side", "id"], "inner").count()
-    n_fl, n_fk = fl.count(), fk.count()
-    precision = tp / n_fl if n_fl else None
-    recall = tp / n_fk if n_fk else 0.0
-    if precision is None:
-        return precision, recall, None
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall
-        else 0.0
-    )
-    return precision, recall, f1

@@ -430,9 +430,8 @@ class SuccessorStep:
         n_right = g.n_right
         theta_l, theta_r = theta if theta is not None else (0, 0)
         if theta is not None:  # the θ gate
-            if right.bit_count() < theta_r or (
-                exclusion and g.n_left - excl.bit_count() < theta_l
-            ):
+            if (right.bit_count() < theta_r
+                    or g.n_left - excl.bit_count() < theta_l):
                 return
             adj, over = _potential_counters(g, right, k, theta_r)
             if not _potential_bound(g, adj, over, k, theta_l, theta_r, excl):
@@ -444,7 +443,7 @@ class SuccessorStep:
             base = (ExpansionBase(sg, k, left, right) if side == "L"
                     else ExpansionBase(sg, k, right, left))
             free = ((1 << sg.n_left) - 1) & ~base.left
-            anchors = free & ~excl if exclusion else free
+            anchors = free & ~excl
             if theta is not None:
                 anchors &= reach  # §5 right-side pruning (1)
             for v in ids_of(anchors):
@@ -455,9 +454,9 @@ class SuccessorStep:
                     continue  # no local solution of v can pass the θ check
                 # A child's exclusion set is excl plus every anchor this
                 # node finished before v: the free vertices below it.
-                # Exclusion and θ anchor on the left only.
-                banned = excl | free & ((1 << v) - 1)
-                child_excl = banned if exclusion else excl
+                # Exclusion and θ anchor on the left only; without
+                # exclusion every set is empty.
+                child_excl = excl | free & ((1 << v) - 1) if exclusion else 0
                 st.almost_sat_calls += 1
                 for loc_l, loc_r in local(left, right, v, side, theta_r, anchor):
                     st.local_solutions += 1
@@ -476,12 +475,14 @@ class SuccessorStep:
                         # The RS verdict and the left-only extension depend
                         # on (L', R') alone (module docstring), so a repeat
                         # reuses them. ``ext`` holds False (RS-pruned) or
-                        # True until the extension is known.
+                        # the extension.
                         key = loc_l << n_right | loc_r
                         ext = memo.get(key)
                         if ext is None:
                             ext = not _has_right_extension(
                                 g, loc_l, loc_r, k, outside_right, anchor
+                            ) and extend_to_maximal(
+                                g, loc_l, loc_r, k, allow_right=False
                             )
                             if len(memo) >= _MEMO_SIZE:
                                 memo.clear()
@@ -490,20 +491,8 @@ class SuccessorStep:
                             st.pruned_right_shrinking += 1
                             continue
                     else:
-                        ext = True
-                    if exclusion and loc_l & banned:
-                        # Early exit: the extension is a superset of the
-                        # local solution, so the link check below would
-                        # prune anyway.
-                        st.pruned_exclusion += 1
-                        continue
-                    if ext is True:
-                        ext = extend_to_maximal(
-                            g, loc_l, loc_r, k, allow_right=not right_shrinking
-                        )
-                        if right_shrinking:
-                            memo[key] = ext
-                    if exclusion and ext[0] & banned:
+                        ext = extend_to_maximal(g, loc_l, loc_r, k, allow_right=True)
+                    if ext[0] & child_excl:
                         st.pruned_exclusion += 1
                         continue
                     st.links += 1

@@ -45,18 +45,11 @@ def algorithms(g: BipartiteGraph, k: int) -> dict[str, Factory]:
 
 
 # ---------------------------------------------------------------- Table 1
-def table1_datasets(spark=None) -> list[dict]:
+def table1_datasets() -> list[dict]:
     """Table 1: dataset statistics (paper sizes vs our stand-ins)."""
     rows = []
     for spec in datasets.SPECS.values():
         g = datasets.load(spec.name)
-        if spark is not None:
-            from ..bipartite.spark_graph import edges_to_spark, graph_stats
-
-            stats = graph_stats(edges_to_spark(spark, g))
-            n_edges = stats["n_edges"]
-        else:
-            n_edges = g.n_edges
         rows.append(
             {
                 "name": spec.name,
@@ -67,7 +60,7 @@ def table1_datasets(spark=None) -> list[dict]:
                 "scale": f"1/{spec.scale}",
                 "ours_L": g.n_left,
                 "ours_R": g.n_right,
-                "ours_E": n_edges,
+                "ours_E": g.n_edges,
             }
         )
     return rows
@@ -231,7 +224,7 @@ def table5_large_mbps(
 def table6_solution_graph(
     dataset_names: Sequence[str] = ("Divorce", "Cfat"),
     *,
-    ks: Sequence[int] = (1,),
+    ks: Sequence[int] = (1, 2),
     budget_s: float = 120.0,
 ) -> list[dict]:
     """Fig 11: #links of the solution graph + runtime for the ablation

@@ -1,5 +1,5 @@
 """Tests for the fraud-detection case study (attack injection, detectors,
-metrics — local and Spark, with the DuckDB oracle on the metric join)."""
+metrics)."""
 import pytest
 
 from repro.casestudy.attack import camouflage_attack
@@ -10,7 +10,6 @@ from repro.casestudy.detect import (
     detect_quasi_biclique,
     evaluate,
     metrics,
-    metrics_spark,
 )
 
 
@@ -119,30 +118,3 @@ def test_evaluate_row_shape(scenario):
     }
     assert row["status"] == "ok"
 
-
-def test_metrics_spark_matches_local(spark, scenario):
-    flagged = detect_core(scenario, alpha=3, beta=3)
-    want = metrics(flagged, scenario.fake_items)
-    got = metrics_spark(spark, flagged, scenario.fake_items)
-    assert got[0] == pytest.approx(want[0])
-    assert got[1] == pytest.approx(want[1])
-    assert got[2] == pytest.approx(want[2])
-
-
-def test_metrics_spark_against_duckdb(spark, scenario):
-    import duckdb
-    import pandas as pd
-
-    flagged = detect_core(scenario, alpha=3, beta=3)
-    fake = scenario.fake_items
-    con = duckdb.connect()
-    con.register("fl", pd.DataFrame(sorted(flagged), columns=["side", "id"]))
-    con.register("fk", pd.DataFrame(sorted(fake), columns=["side", "id"]))
-    tp, n_fl, n_fk = con.execute(
-        """SELECT (SELECT count(*) FROM fl JOIN fk USING (side, id)),
-                  (SELECT count(*) FROM fl), (SELECT count(*) FROM fk)"""
-    ).fetchone()
-    con.close()
-    p, r, _ = metrics_spark(spark, flagged, fake)
-    assert p == pytest.approx(tp / n_fl)
-    assert r == pytest.approx(tp / n_fk)

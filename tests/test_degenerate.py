@@ -1,8 +1,8 @@
 """Degenerate and invalid inputs: they work, or they fail loudly.
 
 Empty sides, graphs without edges and k ≥ |R| must enumerate exactly what
-brute force finds, in every Fig 11 row, in θ mode and through both Spark
-enumerators; a `k` that is not an int ≥ 1 must be a ValueError before any
+brute force finds, in every Fig 11 row, in the baselines, in θ mode and
+through both Spark enumerators; a `k` that is not an int ≥ 1 must be a ValueError before any
 enumeration, in the local engine, the baselines, the frontier successor
 step and both Spark enumerators alike.
 """
@@ -32,6 +32,9 @@ DEGENERATE = {
     "two-right": random_bipartite_gnp(n_left=4, n_right=2, p=0.5, seed=3),
 }
 
+# §6's baselines; bTraversal is the inflation variant of its Fig 11 row.
+BASELINES = {"iMB": imb, "FaPlexen": faplexen, "bTraversal": btraversal}
+
 
 def run(variant, g, k, **kw):
     """Emitted keys, checked against the stats' solution count."""
@@ -48,6 +51,16 @@ def run(variant, g, k, **kw):
 def test_degenerate_variants_match_bruteforce(variant, name, k):
     g = DEGENERATE[name]
     assert run(VARIANTS[variant], g, k) == all_maximal_kbiplexes(g, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+@pytest.mark.parametrize("baseline", list(BASELINES))
+def test_degenerate_baselines_match_bruteforce(baseline, name, k):
+    g = DEGENERATE[name]
+    got = [solution_key(s) for s in BASELINES[baseline](g, k)]
+    assert len(got) == len(set(got))
+    assert set(got) == all_maximal_kbiplexes(g, k)
 
 
 @pytest.mark.parametrize("k", [1, 3])

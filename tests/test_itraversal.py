@@ -165,6 +165,35 @@ def test_memo_generation_size_changes_nothing(monkeypatch, local_enum, size):
     assert default_calls < calls[0] <= checked
 
 
+# θ pruning needs right-shrinking, so only the last two rows take a θ.
+@pytest.mark.parametrize("variant,theta", [
+    *((v, None) for v in VARIANTS),
+    *((v, t) for v in ("iTraversal-ES", "iTraversal") for t in (2, (1, 3))),
+], ids=str)
+def test_expanded_solution_avoids_its_exclusion_set(monkeypatch, variant, theta):
+    """Every H the step expands has no left vertex in its own exclusion
+    set: a link is taken only if its MBP avoids the set the child
+    inherits, and H0's set is empty. So a local solution of anchor v,
+    whose left side lies in L ∪ {v}, can only meet the child's set
+    through the extension."""
+    calls, excluded = [0], [0]
+
+    class CheckedStep(itr.SuccessorStep):
+        def __call__(self, left, right, excl):
+            assert left & excl == 0
+            calls[0] += 1
+            excluded[0] += excl != 0
+            return super().__call__(left, right, excl)
+
+    monkeypatch.setattr(itr, "SuccessorStep", CheckedStep)
+    for seed in range(6):
+        g = random_bipartite_gnp(n_left=8, n_right=8, p=0.5, seed=seed)
+        for k in (1, 2):
+            list(VARIANTS[variant](g, k, theta=theta))
+    assert calls[0] > 0
+    assert (excluded[0] > 0) == (variant == "iTraversal")
+
+
 def test_invalid_configs_rejected():
     g = random_bipartite_gnp(n_left=3, n_right=3, p=0.5, seed=0)
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Smoke tests: every job entrypoint runs end-to-end at miniature scale
-and writes its results artifact."""
+and writes its results artifact; run without flags, it passes the table
+function that function's own defaults."""
+import importlib
+import inspect
 import os
 import sys
 
@@ -21,10 +24,10 @@ def _artifact(table_id):
     return open(path).read()
 
 
-def test_job_table1_no_spark():
+def test_job_table1():
     import table1_datasets
 
-    rows = table1_datasets.main(["--no-spark"])
+    rows = table1_datasets.main([])
     assert len(rows) == 10
     assert "Divorce" in _artifact("table1")
 
@@ -94,7 +97,7 @@ def test_job_table7():
     _artifact("table7")
 
 
-def test_job_table8_no_spark(monkeypatch):
+def test_job_table8(monkeypatch):
     import table8_fraud
     from repro.casestudy import attack
 
@@ -110,6 +113,29 @@ def test_job_table8_no_spark(monkeypatch):
         "repro.casestudy.attack.camouflage_attack",
         lambda **kw: orig(**{**small, "seed": kw.get("seed", 0)}),
     )
-    rows = table8_fraud.main(["--no-spark", "--budget", "5"])
+    rows = table8_fraud.main(["--budget", "5"])
     assert {"1-biplex", "biclique"} <= {r["method"] for r in rows}
     _artifact("table8")
+
+# Each job module imports its table function under the module's own name.
+JOBS = [
+    "table1_datasets", "table2_runtime_real", "table3_delay",
+    "table4_scalability", "table5_large_mbps", "table6_solution_graph",
+    "table7_enum_almost_sat", "table8_fraud",
+]
+
+
+def _as_tuple(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize("job", JOBS)
+def test_job_defaults_match_table_function(job, monkeypatch):
+    module = importlib.import_module(job)
+    sig = inspect.signature(getattr(module, job))
+    calls = []
+    monkeypatch.setattr(module, job, lambda *a, **kw: calls.append((a, kw)) or [])
+    module.main(["--no-spark"] if job == "table5_large_mbps" else [])
+    [(args, kwargs)] = calls
+    for name, value in sig.bind(*args, **kwargs).arguments.items():
+        assert _as_tuple(value) == _as_tuple(sig.parameters[name].default), name

@@ -8,6 +8,10 @@ import ties two modules to one implementation detail.
 A repro name is imported under its own name: an ``as`` alias gives one
 function two names, or one name two functions, and tests and tracers that
 patch a module global by name then reach the wrong one.
+
+Spark serves the paper's distributed future work only: ``pyspark`` is
+imported by the frontier and partition enumerators and by the Spark graph
+code they run on, and by no other module.
 """
 import ast
 import pathlib
@@ -97,3 +101,46 @@ def test_alias_guard_flags_relative_and_absolute_forms():
         (5, "repro.core.itraversal", "itr"),
         (6, "core", "c"),
     ]
+
+
+# The modules that may import pyspark, as paths under src/repro.
+SPARK_MODULES = ("distributed/*", "bipartite/core_decomp.py",
+                 "bipartite/components.py", "bipartite/spark_graph.py")
+
+
+def pyspark_imports(source: str) -> list[int]:
+    """Lines of every import of pyspark in ``source``, function bodies
+    included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[0] == "pyspark" for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+def test_pyspark_only_in_spark_modules():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if not any(path.relative_to(SRC).match(m) for m in SPARK_MODULES)
+        for line in pyspark_imports(path.read_text())
+    ]
+    assert not offenders, offenders
+
+
+def test_pyspark_guard_flags_nested_and_absolute_forms():
+    source = (
+        "import pyspark\n"
+        "from pyspark.sql import DataFrame\n"
+        "from .pyspark import helper\n"
+        "import pysparklike\n"
+        "def f():\n"
+        "    from pyspark.sql import functions as F\n"
+    )
+    assert pyspark_imports(source) == [1, 2, 6]
