@@ -56,19 +56,18 @@ def alpha_beta_core(
     )
 
 
-def alpha_beta_core_edges(
-    edges: DataFrame, alpha: int, beta: int, *, max_rounds: int = 200
-) -> DataFrame:
+def alpha_beta_core_edges(edges: DataFrame, alpha: int, beta: int) -> DataFrame:
     """Edge DataFrame of the (α, β)-core (distributed peeling).
 
     One round = drop left vertices with degree < α, then right vertices
     with degree < β; a fixpoint is reached when the edge count stops
-    shrinking. Level-synchronous peeling needs at most |V| rounds; in
-    practice a handful.
+    shrinking. Every round but the last removes an edge, so the loop
+    stops after at most |E| + 1 rounds; a path peels from both ends, so
+    it takes about half its length.
     """
     cur = edges.select("src", "dst").localCheckpoint(eager=True)
     n_prev = cur.count()
-    for _ in range(max_rounds):
+    while True:
         good_l = (
             cur.groupBy("src").agg(F.count("*").alias("d"))
             .where(F.col("d") >= alpha)
@@ -86,7 +85,6 @@ def alpha_beta_core_edges(
         if n_cur == n_prev:
             return cur
         n_prev = n_cur
-    raise RuntimeError(f"core peeling did not converge in {max_rounds} rounds")
 
 
 def theta_k_core(g: BipartiteGraph, theta: int, k: int) -> tuple[set[int], set[int]]:

@@ -57,8 +57,9 @@ counters of c(u) = |L \\ Γ(u)| give both EnumAlmostSat's slack split of R
 and the RS check's test outside R; each anchor v has one
 `almost_sat.Anchor`, which splits R at Γ(v) once (Lemma 4.1) and holds
 the RS check's and the θ-potential check's per-anchor state.
-Links stay masks: the DFS's visited set holds packed mask ints, and only
-a new MBP becomes frozensets.
+Solutions stay masks from H0 to emission: links, the DFS's stack and its
+visited set hold mask ints, and only an MBP the DFS emits becomes
+frozensets.
 """
 from __future__ import annotations
 
@@ -113,14 +114,6 @@ class TraversalStats:
 
 # A link: the successor MBP's sides as masks, and its exclusion mask.
 Link = tuple[MaskPair, int]
-
-
-@dataclass
-class _Node:
-    sol: Solution
-    succ: Iterator[Link]
-    depth: int
-    emitted: bool
 
 
 def _has_right_extension(
@@ -397,10 +390,13 @@ class SuccessorStep:
             return initial_solution_left(self.g, self.k)
         return initial_solution_any(self.g, self.k)
 
-    def meets_theta(self, sol: Solution) -> bool:
-        """The emission filter: both sides of ``sol`` ≥ θ (True without θ)."""
+    def meets_theta(self, left: int, right: int) -> bool:
+        """The emission filter: both sides of H = (``left``, ``right``) ≥ θ
+        (True without θ)."""
         theta = self.theta
-        return theta is None or (len(sol[0]) >= theta[0] and len(sol[1]) >= theta[1])
+        return theta is None or (
+            left.bit_count() >= theta[0] and right.bit_count() >= theta[1]
+        )
 
     def __call__(self, left: int, right: int, excl: int) -> Iterator[Link]:
         """For every anchor of H = (``left``, ``right``) with exclusion set
@@ -506,12 +502,16 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     per-solution question (the Fig 11 toggles, ``theta``, ``local_enum``,
     ``stats``, ``deadline``); its defaults are the full iTraversal. This
     function is the DFS alone: the visited set, the alternating output
-    and the deadline. It pushes every new MBP, θ or not: one that fails
-    the step's θ gate has no successors, so it is emitted at push (even
+    and the deadline. A stack entry is a node's successor iterator and
+    the masks it emits at pop (or None); the node's depth is its index.
+    H0 enters as the one link into an empty stack, so it is pushed like
+    any child. Every new MBP is pushed, θ or not: one that fails the
+    step's θ gate has no successors, so it is emitted at push (even
     depth) or popped and emitted on the very next iteration (odd depth),
     as if it had never been pushed. The visited set holds each MBP's
     masks packed into one int, L << |𝓡| | R, so a link to a visited MBP
-    costs one set lookup; only a new MBP becomes frozensets.
+    costs one set lookup; an MBP becomes frozensets only when it is
+    emitted.
 
     ``deadline``: ``time.monotonic()`` timestamp after which the traversal
     stops (the reproduction's analog of the paper's INF budget —
@@ -522,46 +522,33 @@ def traverse(g: BipartiteGraph, k: int, **config) -> Iterator[Solution]:
     """
     step = SuccessorStep(g, k, **config)
     st, deadline, meets_theta = step.stats, step.deadline, step.meets_theta
-
-    def emit(sol: Solution) -> bool:
-        if not meets_theta(sol):
-            return False
-        st.solutions += 1
-        return True
-
     n_right = g.n_right
-    h0_left, h0_right = step.root()
-    h0 = masks_to_solution(h0_left, h0_right)
-    visited = {h0_left << n_right | h0_right}
-    stack = [_Node(h0, step(h0_left, h0_right, 0), 0, True)]  # pre-order
-    if emit(h0):
-        yield h0
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
+    visited: set[int] = set()
+    stack: list[tuple[Iterator[Link], MaskPair | None]] = []
+    link: Link | None = step.root(), 0
+    while True:
+        out = None  # the masks emitted on this iteration
+        if link is None:  # the top node's successors are exhausted
+            out = stack.pop()[1]
+        else:
+            (left, right), excl = link
+            key = left << n_right | right
+            if key not in visited:
+                visited.add(key)
+                sol = (left, right) if meets_theta(left, right) else None
+                # §3.5's alternating output, for polynomial delay: a node
+                # at even depth is emitted now (pre-order), one at odd
+                # depth when its expansion completes (pop).
+                odd = len(stack) % 2
+                stack.append((step(left, right, excl), sol if odd else None))
+                if not odd:
+                    out = sol
+        if out is not None:
+            st.solutions += 1
+            yield masks_to_solution(*out)
+        if not stack or (deadline is not None and time.monotonic() > deadline):
             return
-        node = stack[-1]
-        nxt = next(node.succ, None)
-        if nxt is None:
-            stack.pop()
-            if not node.emitted and emit(node.sol):
-                yield node.sol
-            continue
-        (child_left, child_right), child_excl = nxt
-        ck = child_left << n_right | child_right
-        if ck in visited:
-            continue
-        visited.add(ck)
-        child = masks_to_solution(child_left, child_right)
-        depth = node.depth + 1
-        # §3.5's alternating output, for polynomial delay: children at
-        # even depth are emitted now (pre-order), the rest when their
-        # expansion completes (pop).
-        pre = depth % 2 == 0
-        stack.append(_Node(
-            child, step(child_left, child_right, child_excl), depth, pre
-        ))
-        if pre and emit(child):
-            yield child
+        link = next(stack[-1][0], None)
 
 
 VARIANTS: dict[str, Callable[..., Iterator[Solution]]] = {

@@ -1,4 +1,6 @@
 """Distributed == local: the decisive tests for the PySpark enumerators."""
+import itertools
+
 import pytest
 
 from repro.bipartite.bruteforce import all_maximal_kbiplexes
@@ -170,6 +172,22 @@ def test_partitioned_multi_component(spark):
     df = enumerate_large_mbps_partitioned(spark, g, k, theta)
     assert collect_solutions(df) == want
     assert len(want) >= 2  # both blocks represented
+
+
+def test_partitioned_long_cycle(spark):
+    """Core peeling and label propagation run until they stop moving,
+    however many rounds that takes: on a cycle with n vertices per side,
+    the minimum label needs about n rounds to reach the far side. A dense
+    block on the cycle's first vertices holds the large MBPs."""
+    n = 110
+    edges = {(i, i) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+    edges |= set(itertools.product(range(4), range(4))) - {(0, 3)}
+    g = BipartiteGraph.from_edges(sorted(edges), n_left=n, n_right=n)
+    k, theta = 1, 3
+    want = local_keys(itraversal(g, k, theta=theta))
+    df = enumerate_large_mbps_partitioned(spark, g, k, theta)
+    assert collect_solutions(df) == want
+    assert want
 
 
 def test_partitioned_rejects_unsafe_theta(spark):

@@ -130,7 +130,7 @@ def right_shrinking_runs():
 
 @pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("local_enum", LOCAL_ENUMS)
-def test_memo_generation_size_changes_nothing(monkeypatch, local_enum, size):
+def test_memo_size_changes_nothing(monkeypatch, local_enum, size):
     """The step's local-solution memo is cleared whenever it holds
     ``size`` entries: it never holds more, the sequence and every counter
     stay those of the default size, and a smaller memo only answers fewer
@@ -192,6 +192,50 @@ def test_expanded_solution_avoids_its_exclusion_set(monkeypatch, variant, theta)
             list(VARIANTS[variant](g, k, theta=theta))
     assert calls[0] > 0
     assert (excluded[0] > 0) == (variant == "iTraversal")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_output_alternates(variant, k):
+    """§3.5's alternating output (even depth at push, odd depth at pop)
+    emits a solution at least every two expansions: at most two
+    expansions pass before the first output, between two consecutive
+    outputs, and after the last one."""
+    for seed in range(6):
+        g = random_bipartite_gnp(n_left=8, n_right=8, p=0.5, seed=seed)
+        stats = TraversalStats()
+        seen = [0]
+        for _ in VARIANTS[variant](g, k, stats=stats):
+            seen.append(stats.expansions)
+        seen.append(stats.expansions)
+        assert stats.expansions > 0
+        assert max(b - a for a, b in zip(seen, seen[1:])) <= 2
+
+
+@pytest.mark.parametrize("variant", ["iTraversal-ES", "iTraversal"])
+def test_theta_builds_solutions_only_for_emitted(monkeypatch, variant):
+    """With θ the DFS pushes MBPs it does not emit; it keeps every MBP as
+    masks and builds a frozenset pair only for the ones it emits."""
+    built, pushed = [0], [0]
+    to_solution = itr.masks_to_solution
+
+    def counted(left, right):
+        built[0] += 1
+        return to_solution(left, right)
+
+    class CountedStep(itr.SuccessorStep):
+        def __call__(self, left, right, excl):
+            pushed[0] += 1  # the DFS takes one successor iterator per push
+            return super().__call__(left, right, excl)
+
+    monkeypatch.setattr(itr, "masks_to_solution", counted)
+    monkeypatch.setattr(itr, "SuccessorStep", CountedStep)
+    emitted = 0
+    for seed in range(6):
+        g = random_bipartite_gnp(n_left=8, n_right=8, p=0.6, seed=seed)
+        emitted += len(list(VARIANTS[variant](g, 1, theta=3)))
+    assert built[0] == emitted
+    assert 0 < emitted < pushed[0]
 
 
 def test_invalid_configs_rejected():

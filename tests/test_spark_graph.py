@@ -2,7 +2,7 @@
 local graph."""
 import pytest
 
-from repro.bipartite.generators import powerlaw_bipartite, random_bipartite_gnp
+from repro.bipartite.generators import powerlaw_bipartite
 from repro.bipartite.graph import BipartiteGraph
 from repro.bipartite.spark_graph import edges_to_spark
 
@@ -28,9 +28,3 @@ def test_roundtrip_empty(spark):
     assert df.count() == 0
     assert df.columns == ["src", "dst"]
 
-
-def test_spark_generator_shapes(spark):
-    g = random_bipartite_gnp(n_left=10, n_right=10, p=0.3, seed=1)
-    df = edges_to_spark(spark, g)
-    assert df.columns == ["src", "dst"]
-    assert df.count() == g.n_edges
