@@ -8,15 +8,18 @@ any two left vertices share a neighbour), hence confined to one
 component and enumerable per-component independently. The Spark pass
 labels the core's edge rows; the enumerator then reads each component's
 graph off the broadcast input graph, induced on the labelled vertices.
+pyspark is imported inside the Spark pass only, so `connected_components`
+does not load it.
 """
 from __future__ import annotations
 
 from collections import deque
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import TYPE_CHECKING
 
 from .graph import BipartiteGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 def connected_components(g: BipartiteGraph) -> tuple[list[int], list[int]]:
@@ -65,6 +68,8 @@ def connected_components_edges(edges: DataFrame) -> DataFrame:
     per round, so it takes O(diameter) rounds: about n for a cycle with
     n vertices per side.
     """
+    from pyspark.sql import functions as F
+
     cur = edges.select(
         "src",
         "dst",

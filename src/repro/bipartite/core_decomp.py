@@ -10,16 +10,18 @@ case study (Fig 13).
 The Spark version is the classic iterative dataflow: alternately filter
 out under-degree vertices with groupBy/semi-join rounds until a fixpoint.
 Each round materializes via ``localCheckpoint`` so the lineage does not
-grow with the iteration count.
+grow with the iteration count. pyspark is imported inside that function,
+so local peeling (`theta_k_core`) does not load it.
 """
 from __future__ import annotations
 
 from collections import deque
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import TYPE_CHECKING
 
 from .graph import BipartiteGraph
+
+if TYPE_CHECKING:
+    from pyspark.sql import DataFrame
 
 
 def alpha_beta_core(
@@ -65,6 +67,8 @@ def alpha_beta_core_edges(edges: DataFrame, alpha: int, beta: int) -> DataFrame:
     stops after at most |E| + 1 rounds; a path peels from both ends, so
     it takes about half its length.
     """
+    from pyspark.sql import functions as F
+
     cur = edges.select("src", "dst").localCheckpoint(eager=True)
     n_prev = cur.count()
     while True:

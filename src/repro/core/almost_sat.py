@@ -67,7 +67,8 @@ class ExpansionBase:
     step read them: EnumAlmostSat's §4.2 split takes R² before v's
     neighbours are taken out (c(u) ≥ k) as ``over[k-1] & R``, and the
     right-shrinking check (`itraversal._has_right_extension`) reads them
-    outside R.
+    outside R, as does its per-anchor verdict at k = 1
+    (`itraversal._rs_dead_anchors`), which asks for them first.
     """
 
     __slots__ = ("g", "k", "left", "right", "over")

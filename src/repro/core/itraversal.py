@@ -40,6 +40,14 @@ traversal tests θ itself. ``theta`` may be a single int (the paper's
 symmetric constraint) or a ``(theta_l, theta_r)`` pair (the "easily
 customized" asymmetric variant of §5, which the Fig 13 case study needs).
 
+Right-shrinking per anchor. The §3.4 check prunes each local solution
+that some u ∈ 𝓡 \\ R can join. At k = 1 it also acts on whole anchors:
+`_rs_dead_anchors` reads off H which anchors have every local solution
+pruned, and the step skips them before EnumAlmostSat runs, as θ's
+per-anchor bound does. The check on each local solution stays for the
+anchors left (at k = 1 only their removal-path local solutions can fail
+it) and for k ≥ 2.
+
 Local-solution memo. The same local solution (L', R') turns up under many
 parents, and with right-shrinking its two costly questions depend on the
 pair alone. The RS check asks whether some u ∈ 𝓡 \\ R can join (L', R');
@@ -99,8 +107,9 @@ class TraversalStats:
 
     links: int = 0            # successor links generated (after pruning)
     expansions: int = 0       # solutions expanded (iThreeStep calls)
-    # EnumAlmostSat runs; an anchor the θ-potential bound skips never
-    # runs it, so it counts none, and none of its local solutions count.
+    # EnumAlmostSat runs; an anchor the θ-potential bound skips, or one
+    # the RS check would prune whole (k = 1), never runs it, so it counts
+    # none, and none of its local solutions count.
     almost_sat_calls: int = 0
     local_solutions: int = 0
     pruned_right_shrinking: int = 0
@@ -151,6 +160,11 @@ def _has_right_extension(
 
     A local solution then walks ``near`` only. Removal-path local
     solutions (L_loc ⊉ L) take the standalone formula.
+
+    At k = 1 the step calls this only for local solutions of anchors that
+    `_rs_dead_anchors` left in: their plain local solutions (L ∪ {v}, ·)
+    all pass it, so only their removal-path ones can still be pruned here.
+    At k ≥ 2 every local solution reaches it.
     """
     if not outside_right:
         return False
@@ -188,6 +202,39 @@ def _has_right_extension(
             if not cand:
                 return False
     return bool(cand & ~at_least([cand & ~ax for ax in adj], k + 1))
+
+
+def _rs_dead_anchors(base: ExpansionBase, outside_right: int) -> int:
+    """At k = 1: a mask over 𝓛 of anchors every local solution of which
+    the RS check prunes (DESIGN.md §4, "Right-shrinking per anchor").
+    ``base`` is H = (L, R)'s left side and ``outside_right`` is 𝓡 \\ R.
+
+    v is in it iff, for some x ∈ L with exactly one miss m(x) in R, v
+    misses m(x) and is adjacent to some u ∉ R that misses x and nothing
+    else of L. Such a u joins every local solution of v: x keeps no miss
+    in its right side, or x itself was removed. For a v outside the
+    mask, no local solution (L ∪ {v}, ·) is pruned. The u ∉ R with
+    c(u) = 1 are read off the base's counters, ``over[0] & ~over[1]``.
+    """
+    over = base.counters()
+    once = outside_right & over[0] & ~over[1]
+    if not once:
+        return 0
+    g = base.g
+    bits_l, bits_r = g.bits_l, g.bits_r
+    right = base.right
+    dead = 0
+    for x in ids_of(base.left):
+        ax = bits_l[x]
+        miss = right & ~ax
+        joiners = once & ~ax  # the u ∉ R that miss x alone
+        if not miss or miss & (miss - 1) or not joiners:
+            continue
+        adj = 0
+        for u in ids_of(joiners):
+            adj |= bits_r[u]
+        dead |= adj & ~bits_r[miss.bit_length() - 1]
+    return dead
 
 
 # Entries the step's local-solution memo holds before it is cleared.
@@ -416,6 +463,12 @@ class SuccessorStep:
         (`_anchor_potential_ok`) before EnumAlmostSat runs, and is skipped
         if it fails.
 
+        At k = 1 under right-shrinking, the anchors all of whose local
+        solutions the RS check would prune are dropped with the others,
+        before EnumAlmostSat runs (`_rs_dead_anchors`). The RS check then
+        sees the local solutions of the anchors left: at k = 1 only their
+        removal-path ones can fail it, at k ≥ 2 any of them.
+
         The anchors of one side of H share one `ExpansionBase`; each anchor
         is one `Anchor`, which EnumAlmostSat and both checks read: the RS
         check fills its state on its first call, the anchor bound the θ
@@ -425,6 +478,7 @@ class SuccessorStep:
         local, memo = self._local, self._memo
         n_right = g.n_right
         theta_l, theta_r = theta if theta is not None else (0, 0)
+        rs_per_anchor = right_shrinking and k == 1
         if theta is not None:  # the θ gate
             if (right.bit_count() < theta_r
                     or g.n_left - excl.bit_count() < theta_l):
@@ -442,6 +496,8 @@ class SuccessorStep:
             anchors = free & ~excl
             if theta is not None:
                 anchors &= reach  # §5 right-side pruning (1)
+            if rs_per_anchor and anchors:
+                anchors &= ~_rs_dead_anchors(base, outside_right)
             for v in ids_of(anchors):
                 anchor = Anchor(base, v)
                 if theta is not None and not _anchor_potential_ok(

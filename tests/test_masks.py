@@ -7,12 +7,14 @@ here against a reference written with the frozenset predicates of
 ids ≥ 64 (multi-limb ints), empty sides, isolated vertices and |R| ≤ k.
 """
 from collections import Counter
+from itertools import combinations, product
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.bipartite.bruteforce import all_maximal_kbiplexes
 from repro.bipartite.generators import random_bipartite_gnp
-from repro.bipartite.graph import ids_of, mask_of
+from repro.bipartite.graph import BipartiteGraph, ids_of, mask_of
 from repro.bipartite.predicates import (
     can_add_left,
     can_add_right,
@@ -27,6 +29,7 @@ from repro.core.itraversal import (
     _has_right_extension,
     _potential_bound,
     _potential_counters,
+    _rs_dead_anchors,
     _theta_potential_ok,
 )
 
@@ -314,3 +317,68 @@ def test_rs_base_matches_standalone(data, g, k):
             event("L' = L ∪ {v}" if loc_l == lm | 1 << v else "removal path")
             assert _has_right_extension(g, loc_l, loc_r, k, outside, anchor) is (
                 _has_right_extension(g, loc_l, loc_r, k, outside))
+
+
+@st.composite
+def padded_graphs(draw):
+    """G(n, n′, p) with 0–12 vertices per side; half of them have their
+    right ids start at 64, after 64 isolated right vertices."""
+    g = random_bipartite_gnp(
+        n_left=draw(st.integers(0, 12)),
+        n_right=draw(st.integers(0, 12)),
+        p=draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    shift = draw(st.sampled_from([0, 64]))
+    return BipartiteGraph.from_edges(
+        ((x, u + shift) for x, u in g.edges()),
+        n_left=g.n_left, n_right=g.n_right + shift)
+
+
+def all_mbps_k1(g):
+    """Every maximal 1-biplex of ``g``, by brute force over the left sides.
+
+    For each L ⊆ 𝓛 it tries every R the k = 1 structure allows and keeps
+    those `is_maximal_kbiplex` accepts. A maximal (L, R) holds every u
+    adjacent to all of L (adding one keeps a 1-biplex), and otherwise only
+    u that miss exactly one x ∈ L, at most one per x (x misses ≤ 1 of R):
+    so R is those common neighbours plus at most one such u per x."""
+    found = []
+    for size in range(g.n_left + 1):
+        for left in map(frozenset, combinations(range(g.n_left), size)):
+            misses = [left - g.adj_r[u] for u in range(g.n_right)]
+            common = frozenset(u for u, m in enumerate(misses) if not m)
+            choices = [[None, *(u for u, m in enumerate(misses) if m == {x})]
+                       for x in sorted(left)]
+            for pick in product(*choices):
+                right = common | {u for u in pick if u is not None}
+                if is_maximal_kbiplex(g, left, right, 1):
+                    found.append((left, right))
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=padded_graphs())
+def test_rs_dead_anchors_decide_right_shrinking(g):
+    """The per-anchor RS verdict at k = 1 (DESIGN.md §4, "Right-shrinking
+    per anchor"), for every MBP H = (L, R) of ``g`` and every anchor
+    v ∉ L: (i) if v is in `_rs_dead_anchors`, every local solution of v
+    has a right extension outside R; (ii) if not, no local solution
+    (L ∪ {v}, ·) has one. The RS check is the standalone formula."""
+    mbps = all_mbps_k1(g)
+    if g.n_left + g.n_right <= 10:
+        assert {(tuple(sorted(a)), tuple(sorted(b))) for a, b in mbps} == (
+            all_maximal_kbiplexes(g, 1))
+    for left, right in mbps:
+        lm, rm = mask_of(left), mask_of(right)
+        outside = ((1 << g.n_right) - 1) & ~rm
+        base = ExpansionBase(g, 1, lm, rm)
+        dead = _rs_dead_anchors(base, outside)
+        for v in sorted(set(range(g.n_left)) - left):
+            anchor = Anchor(base, v)
+            for loc_l, loc_r in enum_almost_sat(g, lm, rm, v, 1, anchor=anchor):
+                if dead >> v & 1:
+                    event("dead anchor")
+                    assert _has_right_extension(g, loc_l, loc_r, 1, outside)
+                elif loc_l == lm | 1 << v:
+                    assert not _has_right_extension(g, loc_l, loc_r, 1, outside)

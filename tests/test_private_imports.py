@@ -11,10 +11,15 @@ patch a module global by name then reach the wrong one.
 
 Spark serves the paper's distributed future work only: ``pyspark`` is
 imported by the frontier and partition enumerators and by the Spark graph
-code they run on, and by no other module.
+code they run on, and by no other module. The core peeling and component
+modules import it inside their Spark functions only, so a process that
+peels a core or runs the local engine does not load it.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -144,3 +149,17 @@ def test_pyspark_guard_flags_nested_and_absolute_forms():
         "    from pyspark.sql import functions as F\n"
     )
     assert pyspark_imports(source) == [1, 2, 6]
+
+
+def test_local_modules_load_no_pyspark():
+    """Importing the engine, the local core peeling, the local components
+    and the table code leaves ``pyspark`` unloaded: it costs about 11 MB
+    of memory in every process that imports it."""
+    code = ("import sys, repro.core.itraversal, repro.bipartite.core_decomp, "
+            "repro.bipartite.components, repro.experiments.tables; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -101,7 +101,10 @@ def test_bad_theta_rejected(theta):
 # Emitted sequence of `iTraversal-ES` with θ, recorded from the DFS that
 # still tested every child's θ expandability, and the counters of each run
 # (Cfat's core first, then each graph at k = 1 and k = 2). Only the Cfat
-# run has anchors that the per-anchor θ-potential bound skips.
+# run has anchors that the per-anchor θ-potential bound skips. The k = 1
+# runs also skip the anchors whose local solutions the RS check would all
+# prune, which moved their ``almost_sat_calls``, ``local_solutions``,
+# ``pruned_right_shrinking`` and (Cfat) ``pruned_theta_potential``.
 ES_THETA_RUNS = [
     (dict(n_left=3, n_right=66, p=0.95, seed=1), (2, 3)),
     (dict(n_left=9, n_right=6, p=0.4, seed=2), (2, 2)),
@@ -110,23 +113,23 @@ ES_THETA_RUNS = [
 ES_THETA_SEQUENCE_DIGEST = (
     "3b9c12a63bb9d479694016e8ee9d0e60c1c0e80080b05f553a842706adc45d47")
 ES_THETA_STATS = [
-    dict(links=4136, expansions=3486, almost_sat_calls=2718, local_solutions=29307,
-         pruned_right_shrinking=1051, pruned_exclusion=0,
-         pruned_theta_potential=24120, solutions=25),
-    dict(links=172, expansions=78, almost_sat_calls=62, local_solutions=202,
-         pruned_right_shrinking=30, pruned_exclusion=0,
+    dict(links=4136, expansions=3486, almost_sat_calls=1175, local_solutions=15173,
+         pruned_right_shrinking=0, pruned_exclusion=0,
+         pruned_theta_potential=11037, solutions=25),
+    dict(links=172, expansions=78, almost_sat_calls=56, local_solutions=172,
+         pruned_right_shrinking=0, pruned_exclusion=0,
          pruned_theta_potential=0, solutions=65),
     dict(links=111, expansions=67, almost_sat_calls=23, local_solutions=156,
          pruned_right_shrinking=45, pruned_exclusion=0,
          pruned_theta_potential=0, solutions=66),
-    dict(links=239, expansions=46, almost_sat_calls=176, local_solutions=352,
-         pruned_right_shrinking=113, pruned_exclusion=0,
+    dict(links=239, expansions=46, almost_sat_calls=135, local_solutions=266,
+         pruned_right_shrinking=27, pruned_exclusion=0,
          pruned_theta_potential=0, solutions=40),
     dict(links=4256, expansions=302, almost_sat_calls=1714, local_solutions=5949,
          pruned_right_shrinking=1693, pruned_exclusion=0,
          pruned_theta_potential=0, solutions=301),
-    dict(links=311, expansions=66, almost_sat_calls=252, local_solutions=504,
-         pruned_right_shrinking=193, pruned_exclusion=0,
+    dict(links=311, expansions=66, almost_sat_calls=183, local_solutions=366,
+         pruned_right_shrinking=55, pruned_exclusion=0,
          pruned_theta_potential=0, solutions=58),
     dict(links=1566, expansions=211, almost_sat_calls=827, local_solutions=3744,
          pruned_right_shrinking=2178, pruned_exclusion=0,
